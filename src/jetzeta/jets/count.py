@@ -5,6 +5,18 @@ linear eliminations propagate exactly, branches that split on whether a
 coefficient vanishes recombine by inclusion-exclusion, and the final one-
 or two-variable residue is counted with vectorized field arithmetic.
 Variables no solved equation touches contribute plain powers of q.
+
+Two rules count two-variable residues along lines through the origin in
+O(q) field operations:
+
+* a binary form (one total degree, exactly two variables) vanishes on
+  finitely many such lines, so the system splits into one subsystem per
+  line, less the origin each pair of lines shares;
+* a lone equation in two variables with at most two total degrees is swept
+  over the q + 1 directions, each giving a closed-form count.
+
+Only systems that neither these nor the earlier reductions fit reach the
+O(q^k) grid fallbacks, which give up once q^k exceeds GRID_CAP.
 naive_count enumerates the full grid and is the reference oracle.
 """
 
@@ -84,6 +96,12 @@ class FP:
         for e, c in self.c.items():
             rest = e[:v] + (0,) + e[v + 1:]
             out.setdefault(e[v], {})[rest] = c
+        return {d: FP(self.F, self.n, m) for d, m in out.items()}
+
+    def by_total_degree(self) -> dict[int, "FP"]:
+        out: dict[int, dict] = {}
+        for e, c in self.c.items():
+            out.setdefault(sum(e), {})[e] = c
         return {d: FP(self.F, self.n, m) for d, m in out.items()}
 
     def single_term(self):
@@ -225,6 +243,34 @@ def _chi2_pair_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
     return int(counts.sum())
 
 
+def _sweep_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
+    """Points of one equation in v, w with at most two total degrees.
+
+    Off the origin each point is s*(1, t) or s*(0, 1) with s != 0, where
+    the equation reads s^d1 (a + s^e b) = 0 for the direction's values a
+    and b of the two homogeneous parts and e = d2 - d1.  A direction then
+    holds q - 1 points if a = b = 0, and gcd(e, q - 1) points if a, b != 0
+    and -a/b is an e-th power, else none.
+    """
+    F = eq.F
+    q = F.q
+    budget.spend(q * (len(eq.c) + 4) // 16 + 1)
+    parts = eq.by_total_degree()
+    d1, d2 = min(parts), max(parts)
+    coords = {v: np.append(np.ones(q, dtype=np.int64), 0),
+              w: np.append(F.all_elements(), 1)}
+    a = parts[d1].evaluate_vec(coords, q + 1)
+    b = parts[d2].evaluate_vec(coords, q + 1) if d2 > d1 else np.zeros_like(a)
+    g = gcd(d2 - d1, q - 1)
+    both = (a != 0) & (b != 0)
+    minus_a = F.mulc_v(a[both], F.neg(1))
+    solvable = F.pow_v(minus_a, (q - 1) // g) == F.pow_v(b[both], (q - 1) // g)
+    count = ((q - 1) * int(np.count_nonzero((a == 0) & (b == 0)))
+             + g * int(np.count_nonzero(solvable)))
+    # the origin solves the equation unless it has a constant term
+    return count + (d1 > 0)
+
+
 def _grid_count(eqs: list[FP], vs: list[int], F, budget: _Budget) -> int:
     """Chunked full enumeration over the listed variables."""
     q = F.q
@@ -299,6 +345,11 @@ def _quad_private_grid(eqs: list[FP], i: int, v: int, vs: list[int],
     return count
 
 
+def _pin(eqs: list[FP], v: int, rep: FP) -> list[FP]:
+    """eqs with rep plugged in for v."""
+    return [e.substitute(v, rep) if v in e.vars_used() else e for e in eqs]
+
+
 def _solve(eqs: Iterable[FP], live: frozenset, F, budget: _Budget) -> int:
     eqs = list(eqs)
     key = (frozenset(tuple(sorted(e.c.items())) for e in eqs), live)
@@ -349,8 +400,7 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
             return factor * len(roots) * recurse(rest, v)
         total = 0
         for r in roots:
-            total += recurse([o.substitute(v, FP.const(F, o.n, r))
-                              for o in rest], v)
+            total += recurse(_pin(rest, v, FP.const(F, e.n, r)), v)
         return factor * total
 
     # linear variable with a constant coefficient: exact elimination
@@ -364,9 +414,7 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
                 continue
             r = by.get(0, FP(F, e.n, {}))
             rep = r.scale(F.neg(F.inv(c)))
-            rest = [o.substitute(v, rep) if v in o.vars_used() else o
-                    for j, o in enumerate(work) if j != i]
-            return factor * recurse(rest, v)
+            return factor * recurse(_pin(work[:i] + work[i + 1:], v, rep), v)
 
     # quadratic variable with constant leading coefficient and a
     # discriminant of the shape (constant) * (monomial)^2
@@ -387,9 +435,7 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
                 center = beta.scale(F.neg(inv2a))
                 rest = [o for j, o in enumerate(work) if j != i]
                 if disc.is_zero():
-                    sub = [o.substitute(v, center) if v in o.vars_used() else o
-                           for o in rest]
-                    return factor * recurse(sub, v)
+                    return factor * recurse(_pin(rest, v, center), v)
                 st = disc.single_term()
                 if st is None:
                     continue
@@ -404,18 +450,12 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
                     total = 0
                     for sgn_root in (s0, F.neg(s0)):
                         root = center.add(M.scale(F.mul(sgn_root, inv2a)))
-                        sub = [o.substitute(v, root) if v in o.vars_used()
-                               else o for o in rest]
-                        total += recurse(sub, v)
+                        total += recurse(_pin(rest, v, root), v)
                     root = center.add(M.scale(F.mul(s0, inv2a)))
-                    overlap = [o.substitute(v, root) if v in o.vars_used()
-                               else o for o in rest] + [M]
-                    total -= recurse(overlap, v)
+                    total -= recurse(_pin(rest, v, root) + [M], v)
                     return factor * total
                 # non-square constant: roots exist only where M vanishes
-                sub = [o.substitute(v, center) if v in o.vars_used() else o
-                       for o in rest] + [M]
-                return factor * recurse(sub, v)
+                return factor * recurse(_pin(rest, v, center) + [M], v)
 
     # linear variable with polynomial coefficient: split on the
     # coefficient vanishing and recombine with signs
@@ -441,6 +481,43 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
         for v, w in ((v1, v2), (v2, v1)):
             if e.deg_in(v) <= 2:
                 return factor * _chi2_pair_count(e, v, w, budget)
+
+    # binary form: its zeros are the lines w = t*v for the roots t of
+    # e(1, t), and v = 0 when the w^d coefficient vanishes; any two lines
+    # meet only in the origin
+    for i, e in enumerate(work):
+        vs = e.vars_used()
+        if len(vs) != 2:
+            continue
+        parts = e.by_total_degree()
+        if len(parts) != 1:
+            continue
+        (d,) = parts
+        v, w = sorted(vs)
+        rest = work[:i] + work[i + 1:]
+        zero = FP(F, e.n, {})
+        # e(1, t) is constant only for e = c*v^d, whose one line is v = 0
+        dehom = e.substitute(v, FP.const(F, e.n, 1))
+        slopes = [] if dehom.const_value() is not None \
+            else _uni_roots(dehom, w, budget)
+        v_mono = tuple(int(j == v) for j in range(e.n))
+        total = 0
+        for t in slopes:
+            on_line = FP(F, e.n, {v_mono: t} if t else {})
+            total += recurse(_pin(rest, w, on_line), w)
+        lines = len(slopes)
+        if e.deg_in(w) < d:
+            total += recurse(_pin(rest, v, zero), v)
+            lines += 1
+        if lines != 1:
+            origin = _pin(_pin(rest, v, zero), w, zero)
+            total -= (lines - 1) * _solve(origin, live - {v, w}, F, budget)
+        return factor * total
+
+    # one equation in two variables with one or two total degrees: sweep
+    # the q + 1 lines through the origin
+    if len(used) == 2 and len(work) == 1 and len(work[0].by_total_degree()) <= 2:
+        return factor * _sweep_count(work[0], *sorted(used), budget)
 
     # variable quadratic in one equation and absent from the rest:
     # eliminate it by pointwise root counts over a grid of the others

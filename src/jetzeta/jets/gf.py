@@ -8,7 +8,7 @@ vectorize with numpy.
 
 from __future__ import annotations
 
-from typing import Iterator
+import threading
 
 import numpy as np
 
@@ -30,14 +30,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def primes_from(start: int) -> Iterator[int]:
-    n = max(2, start)
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -70,9 +62,6 @@ class PrimeField:
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
 
     def neg(self, a: int) -> int:
         return (-a) % self.p
@@ -348,9 +337,6 @@ class ExtField:
             mul *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -450,21 +436,24 @@ class ExtField:
 
 
 _FIELD_CACHE: dict[int, object] = {}
+# count_points runs in worker threads; the eviction below iterates the cache
+_FIELD_LOCK = threading.Lock()
 
 
 def make_field(q: int):
     """Field with q elements; q must be a prime power."""
-    field = _FIELD_CACHE.get(q)
-    if field is not None:
+    with _FIELD_LOCK:
+        field = _FIELD_CACHE.get(q)
+        if field is not None:
+            return field
+        fac = factorize(q)
+        if len(fac) != 1:
+            raise ValueError(f"{q} is not a prime power")
+        (p, k), = fac.items()
+        field = PrimeField(p) if k == 1 else ExtField(p, k)
+        if q > 100_000:
+            # large table fields are heavy; keep at most one around
+            for key in [key for key in _FIELD_CACHE if key > 100_000]:
+                del _FIELD_CACHE[key]
+        _FIELD_CACHE[q] = field
         return field
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    (p, k), = fac.items()
-    field = PrimeField(p) if k == 1 else ExtField(p, k)
-    if q > 100_000:
-        # large table fields are heavy; keep at most one around
-        for key in [key for key, f in _FIELD_CACHE.items() if key > 100_000]:
-            del _FIELD_CACHE[key]
-    _FIELD_CACHE[q] = field
-    return field

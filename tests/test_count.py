@@ -5,11 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.errors import ResourceLimitError
-from jetzeta.jets.count import count_points, naive_count
+from jetzeta.jets.classify import class_of_jets
+from jetzeta.jets.count import (GRID_CAP, _Budget, _fold_system, _sweep_count,
+                                count_points, naive_count)
+from jetzeta.jets.gf import make_field
 from jetzeta.jets.poly import MultiPoly, parse_poly
-from jetzeta.jets.system import build_jet_system
+from jetzeta.jets.system import JetConstraintSystem, build_jet_system
 
 
 def _sys(text: str, x, m: int):
@@ -138,3 +142,81 @@ def test_unreducible_over_large_field():
         count_points(sys, 5 ** 8)
     # over a small field the same system falls back to the grid
     assert count_points(sys, 5) == naive_count(sys, 5)
+
+
+def test_large_prime_beyond_grid_cap():
+    # A1 at m=6 ends in two-variable forms that only the line rules count
+    # once q^2 exceeds the grid cap; 2017 = 1 mod 24 lies in the residue
+    # class whose fit (on primes up to 1009) carries the class
+    f = parse_poly("x1^2 + x2^2")
+    q = 2017
+    assert q % 24 == 1 and q * q > GRID_CAP
+    jc = class_of_jets(f, [0, 0], 6)
+    assert jc.route == "residue"
+    assert max(jc.table.primes) <= 1009
+    assert count_points(build_jet_system(f, [0, 0], 6), q) == jc.cls.evaluate(q)
+
+
+# -- property tests of the line rules against full enumeration ----------------
+
+FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 25]
+coeff_st = st.integers(min_value=-3, max_value=3).filter(bool)
+
+
+def _system(n_vars: int, polys: list[MultiPoly]) -> JetConstraintSystem:
+    return JetConstraintSystem(n_vars, 1, tuple(polys), (0,) * len(polys))
+
+
+def _monomial(n_vars: int, powers: dict[int, int]) -> tuple[int, ...]:
+    return tuple(powers.get(j, 0) for j in range(n_vars))
+
+
+@st.composite
+def binary_form(draw, n_vars: int, v: int, w: int, degree: int) -> MultiPoly:
+    # zero coefficients included: a form without w^d vanishes on v = 0
+    return MultiPoly(n_vars, {_monomial(n_vars, {v: degree - a, w: a}):
+                              draw(st.integers(-3, 3)) for a in range(degree + 1)})
+
+
+@st.composite
+def small_poly(draw, n_vars: int) -> MultiPoly:
+    # no exponent 1, so that the linear eliminations leave the system to
+    # the line rules more often
+    vs = draw(st.lists(st.integers(0, n_vars - 1), min_size=2, max_size=3,
+                       unique=True))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.sampled_from([0, 2, 3])] * len(vs)), coeff_st),
+        min_size=1, max_size=4))
+    return MultiPoly(n_vars, [(_monomial(n_vars, dict(zip(vs, e))), c)
+                              for e, c in terms])
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_binary_form_split_matches_naive(data):
+    q = data.draw(st.sampled_from(FIELD_SIZES))
+    v, w = data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=2,
+                              unique=True))
+    form = data.draw(binary_form(3, v, w, data.draw(st.integers(2, 4))))
+    others = data.draw(st.lists(small_poly(3), max_size=2))
+    sys = _system(3, [form] + others)
+    assert count_points(sys, q) == naive_count(sys, q)
+
+
+@seed(20261019)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_two_degree_sweep_matches_naive(data):
+    q = data.draw(st.sampled_from(FIELD_SIZES))
+    degrees = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2,
+                                 unique=True))
+    eq = MultiPoly(2)
+    for d in degrees:
+        eq = eq + data.draw(binary_form(2, 0, 1, d))
+    sys = _system(2, [eq])
+    want = naive_count(sys, q)
+    assert count_points(sys, q) == want
+    (folded,) = _fold_system(sys, make_field(q))
+    if not folded.is_zero():
+        assert _sweep_count(folded, 0, 1, _Budget(1 << 40)) == want
