@@ -11,8 +11,7 @@ L; the right side by A'Campo's formula on user-supplied resolution data.
 
 from __future__ import annotations
 
-from .algebra import (DaggerSeries, LaurentPoly, ds_expand, ds_fit,
-                      ds_hadamard, ds_limit)
+from .algebra import DaggerSeries, LaurentPoly, ds_fit, ds_hadamard, ds_limit
 from .jets import (build_jet_system, class_of_jets, count_points,
                    lefschetz_via_jets, milnor_fiber_limit, multiplicity,
                    parse_poly, zeta_via_jets)
@@ -22,7 +21,7 @@ from .resolution import (LefschetzSequence, ResolutionData, acampo_lefschetz,
 
 __all__ = [
     "LaurentPoly", "DaggerSeries",
-    "ds_expand", "ds_fit", "ds_hadamard", "ds_limit",
+    "ds_fit", "ds_hadamard", "ds_limit",
     "parse_poly", "build_jet_system", "multiplicity", "count_points",
     "class_of_jets", "lefschetz_via_jets", "zeta_via_jets",
     "milnor_fiber_limit",

@@ -1,13 +1,13 @@
 """Exact Laurent-polynomial and rational-series arithmetic."""
 
-from .laurent import LaurentPoly, lp_eval_at_one, lp_eval_at_int
+from .laurent import LaurentPoly
 from .dagger import (
     DaggerSeries, SeriesPrefix,
-    ds_expand, ds_degree, ds_limit, ds_hadamard, ds_fit,
+    ds_limit, ds_hadamard, ds_fit,
 )
 
 __all__ = [
-    "LaurentPoly", "lp_eval_at_one", "lp_eval_at_int",
+    "LaurentPoly",
     "DaggerSeries", "SeriesPrefix",
-    "ds_expand", "ds_degree", "ds_limit", "ds_hadamard", "ds_fit",
+    "ds_limit", "ds_hadamard", "ds_fit",
 ]

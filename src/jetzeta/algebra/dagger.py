@@ -358,14 +358,6 @@ def _prefix_degree(prefix: Sequence[LaurentPoly]):
 
 # -- module-level operation names ------------------------------------------
 
-def ds_expand(h: DaggerSeries, order: int) -> SeriesPrefix:
-    return h.expand(order)
-
-
-def ds_degree(h: DaggerSeries):
-    return h.degree()
-
-
 def ds_limit(h: DaggerSeries) -> LaurentPoly:
     return h.limit()
 

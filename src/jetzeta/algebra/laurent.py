@@ -212,33 +212,36 @@ class LaurentPoly:
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor; raises ValueError when it does not
-        divide (nonzero remainder or fractional coefficients)."""
+        divide.
+
+        Long division in integers only: the quotient has integer
+        coefficients exactly when the divisor's leading coefficient divides
+        the running remainder at every step, so the first step that leaves
+        a residue raises.
+        """
         if not divisor._c:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self._c:
             return LaurentPoly()
         sa, sb = min(self._c), min(divisor._c)
-        la = [Fraction(self._c.get(sa + i, 0)) for i in range(max(self._c) - sa + 1)]
-        lb = [Fraction(divisor._c.get(sb + i, 0)) for i in range(max(divisor._c) - sb + 1)]
-        if len(la) < len(lb):
+        rem = [self._c.get(sa + i, 0) for i in range(max(self._c) - sa + 1)]
+        nb = max(divisor._c) - sb + 1
+        if len(rem) < nb:
             raise ValueError("not exactly divisible")
-        lead = lb[-1]
-        quo = [Fraction(0)] * (len(la) - len(lb) + 1)
-        rem = la[:]
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + len(lb) - 1] / lead
-            quo[i] = c
-            if c:
-                for j, bj in enumerate(lb):
-                    rem[i + j] -= c * bj
-        if any(rem):
-            raise ValueError("not exactly divisible")
+        lead = divisor._c[sb + nb - 1]
+        # the lower terms of the divisor, as (offset, coefficient)
+        lower = [(e - sb, c) for e, c in divisor._c.items() if e - sb < nb - 1]
         c_out: dict[int, int] = {}
-        for i, c in enumerate(quo):
+        for i in range(len(rem) - nb, -1, -1):
+            c, r = divmod(rem[i + nb - 1], lead)
+            if r:
+                raise ValueError("not exactly divisible")
             if c:
-                if c.denominator != 1:
-                    raise ValueError("not exactly divisible")
-                c_out[sa - sb + i] = int(c)
+                c_out[sa - sb + i] = c
+                for j, bj in lower:
+                    rem[i + j] -= c * bj
+        if any(rem[:nb - 1]):
+            raise ValueError("not exactly divisible")
         return LaurentPoly(c_out)
 
     # -- evaluation --------------------------------------------------------
@@ -297,12 +300,3 @@ class LaurentPoly:
     def from_json(cls, data: Iterable[Iterable[int]]) -> "LaurentPoly":
         return cls([(int(e), int(v)) for e, v in data])
 
-
-def lp_eval_at_one(p: LaurentPoly) -> int:
-    return p.eval_at_one()
-
-
-def lp_eval_at_int(p: LaurentPoly, q: int) -> Fraction:
-    if q < 2:
-        raise ValueError("evaluation point must be an integer >= 2")
-    return p.eval_at(q)

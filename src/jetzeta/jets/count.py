@@ -18,10 +18,21 @@ O(q) field operations:
 Only systems that neither these nor the earlier reductions fit reach the
 O(q^k) grid fallbacks, which give up once q^k exceeds GRID_CAP.
 naive_count enumerates the full grid and is the reference oracle.
+
+The recursion asks each polynomial the same questions many times, so FP
+keeps per-object caches, each filled on first use: one pass over the
+monomials gives the degree in every variable (hence vars_used and deg_in)
+and the bare-linear variables (whose only monomial is v itself, what the
+constant-coefficient linear rule looks for); coeffs_by_power is memoised
+per variable; and the memo key of _solve is built once.  A polynomial is
+never changed after construction, which keeps these caches valid.
+Substituting a constant, the common case when roots are pinned, works
+monomial by monomial instead of by Horner's rule.
 """
 
 from __future__ import annotations
 
+import operator
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -50,14 +61,23 @@ class _Budget:
 
 
 class FP:
-    """Polynomial over a finite field: {exponent tuple: nonzero element}."""
+    """Polynomial over a finite field: {exponent tuple: nonzero element}.
 
-    __slots__ = ("F", "n", "c")
+    Never changed after construction, so its lazily filled caches (see the
+    module docstring) stay valid.
+    """
+
+    __slots__ = ("F", "n", "c", "_deg", "_vars", "_bare", "_by", "_key")
 
     def __init__(self, F, n: int, c: dict):
         self.F = F
         self.n = n
         self.c = c
+        self._deg: dict[int, int] | None = None
+        self._vars: frozenset | None = None
+        self._bare: tuple[int, ...] | None = None
+        self._by: dict[int, dict[int, FP]] | None = None
+        self._key: frozenset | None = None
 
     @classmethod
     def from_int_poly(cls, F, poly) -> "FP":
@@ -85,18 +105,60 @@ class FP:
                 return v
         return None
 
+    def _profile(self) -> None:
+        """One pass over the monomials: the degree in each variable, and
+        the variables whose only monomial is the bare variable."""
+        deg: dict[int, int] = {}
+        terms: dict[int, int] = {}
+        units = []
+        for e in self.c:
+            support = [(i, k) for i, k in enumerate(e) if k]
+            for i, k in support:
+                if k > deg.get(i, 0):
+                    deg[i] = k
+                terms[i] = terms.get(i, 0) + 1
+            if len(support) == 1 and support[0][1] == 1:
+                units.append(support[0][0])
+        self._deg = deg
+        self._vars = frozenset(deg)
+        self._bare = tuple(sorted(v for v in units if terms[v] == 1))
+
     def vars_used(self) -> frozenset:
-        return frozenset(i for e in self.c for i, k in enumerate(e) if k)
+        if self._vars is None:
+            self._profile()
+        return self._vars
 
     def deg_in(self, v: int) -> int:
-        return max((e[v] for e in self.c), default=0)
+        if self._deg is None:
+            self._profile()
+        return self._deg.get(v, 0)
+
+    def bare_linear_vars(self) -> tuple[int, ...]:
+        """Sorted variables v whose only monomial is v itself, i.e. those
+        the polynomial is linear in with a constant coefficient."""
+        if self._bare is None:
+            self._profile()
+        return self._bare
+
+    def memo_key(self) -> frozenset:
+        if self._key is None:
+            self._key = frozenset(self.c.items())
+        return self._key
 
     def coeffs_by_power(self, v: int) -> dict[int, "FP"]:
-        out: dict[int, dict] = {}
-        for e, c in self.c.items():
-            rest = e[:v] + (0,) + e[v + 1:]
-            out.setdefault(e[v], {})[rest] = c
-        return {d: FP(self.F, self.n, m) for d, m in out.items()}
+        """{d: coefficient of v^d}; shared between callers, not to be
+        changed."""
+        if self._by is None:
+            self._by = {}
+        by = self._by.get(v)
+        if by is None:
+            out: dict[int, dict] = {}
+            for e, c in self.c.items():
+                rest = e[:v] + (0,) + e[v + 1:]
+                out.setdefault(e[v], {})[rest] = c
+            by = self._by[v] = {d: FP(self.F, self.n, m)
+                                for d, m in out.items()}
+        return by
 
     def by_total_degree(self) -> dict[int, "FP"]:
         out: dict[int, dict] = {}
@@ -128,15 +190,25 @@ class FP:
     def scale(self, elt: int) -> "FP":
         if elt == 0:
             return FP(self.F, self.n, {})
+        if elt == 1:
+            return self
         F = self.F
         return FP(F, self.n, {e: F.mul(v, elt) for e, v in self.c.items()})
 
     def mul(self, other: "FP") -> "FP":
+        if not self.c or not other.c:
+            return FP(self.F, self.n, {})
+        k = other.const_value()
+        if k is not None:
+            return self.scale(k)
+        k = self.const_value()
+        if k is not None:
+            return other.scale(k)
         F = self.F
         c: dict = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 w = F.add(c.get(e, 0), F.mul(v1, v2))
                 if w:
                     c[e] = w
@@ -150,14 +222,18 @@ class FP:
         while k:
             if k & 1:
                 out = out.mul(base)
-            base = base.mul(base)
             k >>= 1
+            if k:
+                base = base.mul(base)
         return out
 
     def substitute(self, v: int, rep: "FP") -> "FP":
         """Plug rep in for variable v (Horner on the power grouping)."""
+        r = rep.const_value()
+        if r is not None:
+            return self._substitute_const(v, r)
         by = self.coeffs_by_power(v)
-        top = max(by)
+        top = max(by, default=0)
         acc = FP(self.F, self.n, {})
         for d in range(top, -1, -1):
             if d != top:
@@ -165,6 +241,31 @@ class FP:
             if d in by:
                 acc = acc.add(by[d])
         return acc
+
+    def _substitute_const(self, v: int, r: int) -> "FP":
+        """Plug the field element r in for variable v, monomial by monomial."""
+        F = self.F
+        powers: dict[int, int] = {}
+        c: dict = {}
+        for e, x in self.c.items():
+            k = e[v]
+            if k:
+                if not r:
+                    continue
+                rk = powers.get(k)
+                if rk is None:
+                    rk = powers[k] = F.pow(r, k)
+                x = F.mul(x, rk)
+                e = e[:v] + (0,) + e[v + 1:]
+            if e in c:
+                w = F.add(c[e], x)
+                if w:
+                    c[e] = w
+                else:
+                    del c[e]
+            else:
+                c[e] = x
+        return FP(F, self.n, c)
 
     def cleared_substitute(self, v: int, r: "FP", cpoly: "FP") -> "FP":
         """c^D * self with v replaced by -r/c, D = deg_v(self); polynomial."""
@@ -352,7 +453,7 @@ def _pin(eqs: list[FP], v: int, rep: FP) -> list[FP]:
 
 def _solve(eqs: Iterable[FP], live: frozenset, F, budget: _Budget) -> int:
     eqs = list(eqs)
-    key = (frozenset(tuple(sorted(e.c.items())) for e in eqs), live)
+    key = (frozenset(e.memo_key() for e in eqs), live)
     hit = budget.memo.get(key)
     if hit is not None:
         return hit
@@ -405,16 +506,14 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
 
     # linear variable with a constant coefficient: exact elimination
     for i, e in enumerate(work):
-        for v in sorted(e.vars_used()):
-            if e.deg_in(v) != 1:
-                continue
-            by = e.coeffs_by_power(v)
-            c = by[1].const_value()
-            if c is None:
-                continue
-            r = by.get(0, FP(F, e.n, {}))
-            rep = r.scale(F.neg(F.inv(c)))
-            return factor * recurse(_pin(work[:i] + work[i + 1:], v, rep), v)
+        bare = e.bare_linear_vars()
+        if not bare:
+            continue
+        v = bare[0]
+        by = e.coeffs_by_power(v)
+        r = by.get(0, FP(F, e.n, {}))
+        rep = r.scale(F.neg(F.inv(by[1].const_value())))
+        return factor * recurse(_pin(work[:i] + work[i + 1:], v, rep), v)
 
     # quadratic variable with constant leading coefficient and a
     # discriminant of the shape (constant) * (monomial)^2

@@ -9,8 +9,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.errors import ResourceLimitError
 from jetzeta.jets.classify import class_of_jets
-from jetzeta.jets.count import (GRID_CAP, _Budget, _fold_system, _sweep_count,
-                                count_points, naive_count)
+from jetzeta.jets.count import (FP, GRID_CAP, _Budget, _fold_system, _solve,
+                                _sweep_count, count_points, naive_count)
 from jetzeta.jets.gf import make_field
 from jetzeta.jets.poly import MultiPoly, parse_poly
 from jetzeta.jets.system import JetConstraintSystem, build_jet_system
@@ -157,6 +157,22 @@ def test_large_prime_beyond_grid_cap():
     assert count_points(build_jet_system(f, [0, 0], 6), q) == jc.cls.evaluate(q)
 
 
+@pytest.mark.parametrize("text, m, q, count, spent, memo", [
+    ("x1*x2", 12, 101, 1239507533145166692727321100, 2660, 266),
+    ("x1^2 + x2^2", 5, 73, 597044618784, 618, 58),
+    ("x1^2 + x2^3", 5, 13, 0, 40, 4),
+    ("x1^2 + x2^3", 6, 25, 213623046875, 51, 4),
+])
+def test_recursion_path_pinned(text, m, q, count, spent, memo):
+    # the budget spent and the memo size fix which reductions fired, so a
+    # faster kernel must reproduce them, not only the count
+    sys = _sys(text, [0, 0], m)
+    F = make_field(q)
+    budget = _Budget(10 ** 12)
+    got = _solve(_fold_system(sys, F), frozenset(range(sys.n_jet_vars)), F, budget)
+    assert (got, 10 ** 12 - budget.left, len(budget.memo)) == (count, spent, memo)
+
+
 # -- property tests of the line rules against full enumeration ----------------
 
 FIELD_SIZES = [2, 3, 4, 5, 7, 8, 9, 11, 25]
@@ -220,3 +236,92 @@ def test_two_degree_sweep_matches_naive(data):
     (folded,) = _fold_system(sys, make_field(q))
     if not folded.is_zero():
         assert _sweep_count(folded, 0, 1, _Budget(1 << 40)) == want
+
+
+# -- FP: cached profiles against fresh recomputation -------------------------
+
+
+def _fp(data, F, n_vars: int) -> FP:
+    # bare variables drawn often enough to exercise the bare-linear cache
+    units = [_monomial(n_vars, {v: 1}) for v in range(n_vars)]
+    exps = data.draw(st.lists(st.one_of(st.sampled_from(units),
+                                        st.tuples(*[st.integers(0, 3)] * n_vars)),
+                              max_size=5, unique=True))
+    return FP(F, n_vars, {e: data.draw(st.integers(1, F.q - 1)) for e in exps})
+
+
+def _mul_ref(F, a: dict, b: dict) -> dict:
+    c: dict = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c[e] = F.add(c.get(e, 0), F.mul(v1, v2))
+    return {e: v for e, v in c.items() if v}
+
+
+def _groups_ref(p: dict, v: int) -> dict:
+    by: dict = {}
+    for e, c in p.items():
+        by.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
+    return by
+
+
+def _horner_ref(F, p: dict, v: int, rep: dict) -> dict:
+    by = _groups_ref(p, v)
+    acc: dict = {}
+    for d in range(max(by, default=0), -1, -1):
+        acc = _mul_ref(F, acc, rep)
+        for e, c in by.get(d, {}).items():
+            acc[e] = F.add(acc.get(e, 0), c)
+        acc = {e: c for e, c in acc.items() if c}
+    return acc
+
+
+def _assert_profile_fresh(p: FP) -> None:
+    deg: dict = {}
+    for e in p.c:
+        for i, k in enumerate(e):
+            if k:
+                deg[i] = max(deg.get(i, 0), k)
+    assert p.vars_used() == frozenset(deg)
+    assert all(p.deg_in(v) == deg.get(v, 0) for v in range(p.n))
+    unit = [tuple(int(j == v) for j in range(p.n)) for v in range(p.n)]
+    assert p.bare_linear_vars() == tuple(
+        v for v in sorted(deg) if [e for e in p.c if e[v]] == [unit[v]])
+    for v in range(p.n):
+        by = {d: g.c for d, g in p.coeffs_by_power(v).items()}
+        assert by == _groups_ref(p.c, v)
+    assert p.memo_key() == frozenset(p.c.items())
+
+
+@seed(20261021)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fp_caches_match_fresh_recomputation(data):
+    q = data.draw(st.sampled_from(FIELD_SIZES))
+    F = make_field(q)
+    n = 3
+    a, b = _fp(data, F, n), _fp(data, F, n)
+    snapshot = (dict(a.c), dict(b.c))
+    _assert_profile_fresh(a)
+    _assert_profile_fresh(b)
+    v = data.draw(st.integers(0, n - 1))
+    r = data.draw(st.integers(0, q - 1))
+    const = FP.const(F, n, r)
+    results = [a.add(b), a.mul(b), b.mul(a), a.substitute(v, b),
+               a.substitute(v, const)]
+    # using a and b leaves them, and so their caches, as they were
+    assert (a.c, b.c) == snapshot
+    _assert_profile_fresh(a)
+    _assert_profile_fresh(b)
+    for p in results:
+        _assert_profile_fresh(p)
+    assert results[1].c == results[2].c == _mul_ref(F, a.c, b.c)
+    # the constant fast path of substitute against Horner on the grouping
+    assert results[4].c == _horner_ref(F, a.c, v, const.c)
+    assert results[3].c == _horner_ref(F, a.c, v, b.c)
+    k = data.draw(st.integers(0, 6))
+    want = FP.const(F, n, 1)
+    for _ in range(k):
+        want = FP(F, n, _mul_ref(F, want.c, a.c))
+    assert a.pow(k).c == want.c

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetzeta.algebra import (
     LaurentPoly, DaggerSeries,
-    ds_expand, ds_degree, ds_limit, ds_hadamard, ds_fit,
+    ds_limit, ds_hadamard, ds_fit,
 )
 from jetzeta.errors import FitFailure, LimitUndefined
 
@@ -64,18 +64,18 @@ def as_dicts(prefix):
 
 def test_expand_examples():
     h = DaggerSeries({0: one}, [(0, 1)])  # 1/(1-T)
-    assert ds_expand(h, 3) == [one, one, one, one]
+    assert h.expand(3) == [one, one, one, one]
     h = DaggerSeries({1: one}, [(1, 1)])  # T/(1-LT)
-    assert ds_expand(h, 3) == [LaurentPoly.zero(), one, L(1), L(2)]
+    assert h.expand(3) == [LaurentPoly.zero(), one, L(1), L(2)]
     h = DaggerSeries({0: one, 2: -one}, [(0, 1)])  # (1-T^2)/(1-T)
-    assert ds_expand(h, 2) == [one, one, LaurentPoly.zero()]
+    assert h.expand(2) == [one, one, LaurentPoly.zero()]
 
 
 def test_degree_examples():
-    assert ds_degree(DaggerSeries({1: one}, [(0, 1)])) == 0
-    assert ds_degree(DaggerSeries({0: one}, [(0, 1)])) == -1
-    assert ds_degree(DaggerSeries({2: L(-1, 2)}, [(-1, 2)])) == 0
-    assert ds_degree(DaggerSeries.zero()) == float("-inf")
+    assert DaggerSeries({1: one}, [(0, 1)]).degree() == 0
+    assert DaggerSeries({0: one}, [(0, 1)]).degree() == -1
+    assert DaggerSeries({2: L(-1, 2)}, [(-1, 2)]).degree() == 0
+    assert DaggerSeries.zero().degree() == float("-inf")
 
 
 def test_limit_examples():
@@ -134,7 +134,7 @@ def test_hadamard_with_polynomial():
 def test_fit_examples():
     # geometric with ratio L^-1 T^3 scaled by 2L^-1, 18 terms
     target = DaggerSeries({3: L(-1, 2)}, [(-1, 3)])
-    prefix = ds_expand(target, 17)
+    prefix = target.expand(17)
     fitted = ds_fit(prefix, [(-1, 3)])
     assert fitted == target
     assert fitted.den == ((-1, 3),)
@@ -182,7 +182,7 @@ series_st = st.builds(
 @settings(max_examples=60, deadline=None)
 def test_expand_matches_oracle(num, den, order):
     h = DaggerSeries({t: LaurentPoly(c) for t, c in num.items()}, den)
-    assert as_dicts(ds_expand(h, order)) == oracle_expand(num, den, order)
+    assert as_dicts(h.expand(order)) == oracle_expand(num, den, order)
 
 
 @given(series_st, factor_st)
@@ -194,17 +194,17 @@ def test_degree_and_eq_invariant_under_common_factor(h, f):
         list(h.den) + [f])
     assert inflated == h
     if not h.is_zero():
-        assert ds_degree(inflated) == ds_degree(h)
-    assert as_dicts(ds_expand(inflated, 8)) == as_dicts(ds_expand(h, 8))
+        assert inflated.degree() == h.degree()
+    assert as_dicts(inflated.expand(8)) == as_dicts(h.expand(8))
 
 
 @given(series_st, series_st, st.integers(min_value=0, max_value=10))
 @settings(max_examples=50, deadline=None)
 def test_hadamard_is_termwise_product(h, g, order):
     prod = ds_hadamard(h, g)
-    eh, eg = ds_expand(h, order), ds_expand(g, order)
+    eh, eg = h.expand(order), g.expand(order)
     expected = [a * b for a, b in zip(eh, eg)]
-    assert ds_expand(prod, order) == expected
+    assert prod.expand(order) == expected
 
 
 @given(series_st, series_st)
@@ -225,20 +225,20 @@ def test_hadamard_limit_identity(h, g):
 def test_fit_recovers_series(h):
     cands = sorted(h.den)
     order = sum(b for _, b in h.den) + (max(h.num) if h.num else 0) + 6
-    prefix = ds_expand(h, order)
+    prefix = h.expand(order)
     fitted = ds_fit(prefix, cands)
     assert fitted == h
-    assert ds_expand(fitted, order) == prefix
+    assert fitted.expand(order) == prefix
 
 
 @given(series_st, series_st)
 @settings(max_examples=30, deadline=None)
 def test_add_mul_against_expansion(h, g):
-    eh, eg = ds_expand(h, 10), ds_expand(g, 10)
-    assert ds_expand(h + g, 10) == [a + b for a, b in zip(eh, eg)]
+    eh, eg = h.expand(10), g.expand(10)
+    assert (h + g).expand(10) == [a + b for a, b in zip(eh, eg)]
     cauchy = [sum((eh[i] * eg[m - i] for i in range(m + 1)), LaurentPoly.zero())
               for m in range(11)]
-    assert ds_expand(h * g, 10) == cauchy
+    assert (h * g).expand(10) == cauchy
 
 
 @given(series_st)

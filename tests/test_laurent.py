@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from jetzeta.algebra import LaurentPoly, lp_eval_at_one, lp_eval_at_int
+from jetzeta.algebra import LaurentPoly
 
 
 def oracle_mul(a: dict, b: dict) -> dict:
@@ -32,17 +32,15 @@ coeff_dicts = st.dictionaries(
 
 def test_eval_at_one_examples():
     p = LaurentPoly({2: 1, 1: -2, 0: 1})  # (L - 1)^2
-    assert lp_eval_at_one(p) == 0
-    assert lp_eval_at_one(LaurentPoly.zero()) == 0
-    assert lp_eval_at_one(LaurentPoly({-1: 2, 0: 3})) == 5
+    assert p.eval_at_one() == 0
+    assert LaurentPoly.zero().eval_at_one() == 0
+    assert LaurentPoly({-1: 2, 0: 3}).eval_at_one() == 5
 
 
 def test_eval_at_int_examples():
-    assert lp_eval_at_int(LaurentPoly.L(), 5) == 5
-    assert lp_eval_at_int(LaurentPoly.L(-1), 2) == Fraction(1, 2)
-    assert lp_eval_at_int(LaurentPoly({1: 2, 0: 3}), 7) == 17
-    with pytest.raises(ValueError):
-        lp_eval_at_int(LaurentPoly.one(), 1)
+    assert LaurentPoly.L().eval_at(5) == 5
+    assert LaurentPoly.L(-1).eval_at(2) == Fraction(1, 2)
+    assert LaurentPoly({1: 2, 0: 3}).eval_at(7) == 17
 
 
 def test_no_zero_coefficients_stored():
@@ -106,6 +104,55 @@ def test_divide_exact_roundtrip(a, b):
     if pb.is_zero():
         return
     assert (pa * pb).divide_exact(pb) == pa
+
+
+def fraction_divide(a: dict, b: dict) -> dict | None:
+    """a / b by long division over Fractions, from the lowest exponents on;
+    None when the remainder is nonzero or a quotient coefficient is not an
+    integer."""
+    if not a:
+        return {}
+    sa, sb = min(a), min(b)
+    la = [Fraction(a.get(sa + i, 0)) for i in range(max(a) - sa + 1)]
+    lb = [Fraction(b.get(sb + i, 0)) for i in range(max(b) - sb + 1)]
+    if len(la) < len(lb):
+        return None
+    quo = {}
+    for i in range(len(la) - len(lb), -1, -1):
+        c = la[i + len(lb) - 1] / lb[-1]
+        for j, bj in enumerate(lb):
+            la[i + j] -= c * bj
+        if c:
+            quo[sa - sb + i] = c
+    if any(la) or any(c.denominator != 1 for c in quo.values()):
+        return None
+    return {e: int(c) for e, c in quo.items()}
+
+
+@st.composite
+def divisors(draw) -> dict:
+    # lower terms below a leading coefficient of +-1, +-2 or 3
+    top = draw(st.integers(min_value=-3, max_value=4))
+    lower = draw(st.dictionaries(st.integers(min_value=top - 5, max_value=top - 1),
+                                 st.integers(min_value=-4, max_value=4).filter(bool),
+                                 max_size=4))
+    return {**lower, top: draw(st.sampled_from([1, -1, 2, -2, 3]))}
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(coeff_dicts, divisors(), coeff_dicts)
+def test_divide_exact_matches_fraction_division(a, b, r):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    assert (pa * pb).divide_exact(pb) == pa
+    # a multiple plus a small perturbation is mostly not a multiple
+    for n in (pa * pb + LaurentPoly(r), LaurentPoly(r)):
+        want = fraction_divide(n._c, b)
+        if want is None:
+            with pytest.raises(ValueError):
+                n.divide_exact(pb)
+        else:
+            assert n.divide_exact(pb) == LaurentPoly(want)
 
 
 def test_divide_exact_rejects_nondivisor():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetzeta.algebra import LaurentPoly, DaggerSeries, ds_expand, ds_limit
+from jetzeta.algebra import LaurentPoly, DaggerSeries, ds_limit
 from jetzeta.errors import LimitMismatchError, UnboundedInputError
 from jetzeta.gamma import (
     PolySet, RationalCell, AffineFormPW, chi, zeta_polytope, zeta_terms,
@@ -50,7 +50,7 @@ def test_zeta_triangle_nonseparable_form():
         2, le=[((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]),))
     z = zeta_polytope(S, AffineFormPW.linear([1, 1]), M=14)
     assert ds_limit(z) == LaurentPoly.from_int(-1)
-    assert ds_expand(z, 10) == zeta_terms(S, AffineFormPW.linear([1, 1]), 10)
+    assert z.expand(10) == zeta_terms(S, AffineFormPW.linear([1, 1]), 10)
 
 
 def test_zeta_wedge():
@@ -60,7 +60,7 @@ def test_zeta_wedge():
     f = AffineFormPW.linear([2, -1])
     z = zeta_polytope(S, f, M=16)
     assert ds_limit(z) == LaurentPoly.from_int(-chi(S))
-    assert ds_expand(z, 12) == zeta_terms(S, f, 12)
+    assert z.expand(12) == zeta_terms(S, f, 12)
 
 
 def test_zeta_piecewise_guard():
@@ -70,7 +70,7 @@ def test_zeta_piecewise_guard():
     f = AffineFormPW.make(1, [(left, (1,), 0), (right, (2,), 1)])
     z = zeta_polytope(S, f, M=16)
     assert ds_limit(z) == LaurentPoly.from_int(-chi(S))
-    assert ds_expand(z, 12) == zeta_terms(S, f, 12)
+    assert z.expand(12) == zeta_terms(S, f, 12)
 
 
 def test_zeta_steep_slope_on_point():
@@ -148,7 +148,7 @@ def test_zeta_expansion_matches_enumeration_randomized():
             [rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
         z = zeta_polytope(S, f)
         k = 8
-        assert ds_expand(z, k) == zeta_terms(S, f, k)
+        assert z.expand(k) == zeta_terms(S, f, k)
 
 
 def test_zeta_union_presentation_invariance():
