@@ -28,6 +28,12 @@ per variable; and the memo key of _solve is built once.  A polynomial is
 never changed after construction, which keeps these caches valid.
 Substituting a constant, the common case when roots are pinned, works
 monomial by monomial instead of by Horner's rule.
+
+Vector evaluation never materialises a constant: evaluate_vec starts from
+its first non-constant term and adds the constant term last with addc_v,
+and the quadratic root count shared by the chi2-pair rule and the private
+grid keeps constant coefficients as field scalars, so the trace route's
+v^2 = g(w) leaves need no vector addition at all.
 """
 
 from __future__ import annotations
@@ -269,19 +275,34 @@ class FP:
 
     def cleared_substitute(self, v: int, r: "FP", cpoly: "FP") -> "FP":
         """c^D * self with v replaced by -r/c, D = deg_v(self); polynomial."""
+        F, n = self.F, self.n
         by = self.coeffs_by_power(v)
         D = max(by)
         neg_r = r.neg()
-        acc = FP(self.F, self.n, {})
+        # (-r)^d and c^(D - d) for every d, one multiplication each
+        r_pows = [FP.const(F, n, 1)]
+        c_pows = [FP.const(F, n, 1)]
+        for _ in range(D):
+            r_pows.append(r_pows[-1].mul(neg_r))
+            c_pows.append(c_pows[-1].mul(cpoly))
+        c: dict = {}
         for d, hd in by.items():
-            term = hd.mul(neg_r.pow(d)).mul(cpoly.pow(D - d))
-            acc = acc.add(term)
-        return acc
+            for e, x in hd.mul(r_pows[d]).mul(c_pows[D - d]).c.items():
+                w = F.add(c.get(e, 0), x)
+                if w:
+                    c[e] = w
+                else:
+                    del c[e]
+        return FP(F, n, c)
 
     def evaluate_vec(self, coords: Mapping[int, np.ndarray],
                      npoints: int) -> np.ndarray:
+        """Values at the points given by coords; a new array, never one
+        of coords.  The constant term is added last with addc_v and is
+        never broadcast to a vector, except for a constant polynomial."""
         F = self.F
-        acc = np.zeros(npoints, dtype=np.int64)
+        acc: np.ndarray | None = None
+        const = 0
         for e, c in self.c.items():
             term: np.ndarray | None = None
             for v, k in enumerate(e):
@@ -289,11 +310,14 @@ class FP:
                     f = F.pow_v(coords[v], k)
                     term = f if term is None else F.mul_v(term, f)
             if term is None:
-                term = np.full(npoints, c, dtype=np.int64)
-            else:
+                const = c
+                continue
+            if c != 1:
                 term = F.mulc_v(term, c)
-            acc = F.add_v(acc, term)
-        return acc
+            acc = term if acc is None else F.add_v(acc, term)
+        if acc is None:
+            return np.full(npoints, const, dtype=np.int64)
+        return F.addc_v(acc, const) if const else acc
 
 
 def _fold_system(sys: JetConstraintSystem, F) -> list[FP]:
@@ -326,22 +350,59 @@ def _chi2_pair_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
     F = eq.F
     q = F.q
     budget.spend(q * (len(eq.c) + 4) // 16 + 1)
-    by = eq.coeffs_by_power(v)
-    coords = {w: F.all_elements()}
-    zero = np.zeros(q, dtype=np.int64)
-    A = by[2].evaluate_vec(coords, q) if 2 in by else zero
-    B = by[1].evaluate_vec(coords, q) if 1 in by else zero
-    C = by[0].evaluate_vec(coords, q) if 0 in by else zero
-    disc = F.add_v(F.mul_v(B, B),
-                   F.mulc_v(F.mul_v(A, C), F.neg(F.from_int(4))))
-    counts = np.zeros(q, dtype=np.int64)
-    quad = A != 0
-    counts[quad] = 1 + F.chi2_v(disc[quad])
-    lin = (~quad) & (B != 0)
-    counts[lin] = 1
-    degen = (~quad) & (~lin)
-    counts[degen] = np.where(C[degen] == 0, q, 0)
-    return int(counts.sum())
+    return _quad_root_count(eq.coeffs_by_power(v), {w: F.all_elements()}, q, F)
+
+
+# A value at the points is a vector, or a field scalar when it is the same
+# at every point; scalars never become vectors.
+
+def _values(p: FP | None, coords: Mapping[int, np.ndarray], npoints: int):
+    """p at the points; 0 for an absent p."""
+    if p is None:
+        return 0
+    k = p.const_value()
+    return p.evaluate_vec(coords, npoints) if k is None else k
+
+
+def _mul(F, x, y):
+    if not isinstance(x, np.ndarray):
+        x, y = y, x
+    if not isinstance(x, np.ndarray):
+        return F.mul(x, y)
+    if isinstance(y, np.ndarray):
+        return F.mul_v(x, y)
+    return F.mulc_v(x, y) if y else 0
+
+
+def _add(F, x, y):
+    if not isinstance(x, np.ndarray):
+        x, y = y, x
+    if not isinstance(x, np.ndarray):
+        return F.add(x, y)
+    if isinstance(y, np.ndarray):
+        return F.add_v(x, y)
+    return F.addc_v(x, y) if y else x
+
+
+def _quad_root_count(by: Mapping[int, FP], coords: Mapping[int, np.ndarray],
+                     npoints: int, F) -> int:
+    """Roots v of A v^2 + B v + C summed over the points (q odd), where
+    A, B, C = by[2], by[1], by[0] are evaluated there.
+
+    A point has 1 + chi2(B^2 - 4AC) roots where A != 0; else one root
+    where B != 0; else q roots where C = 0 and none elsewhere.
+    """
+    q = F.q
+    A, B, C = (_values(by.get(d), coords, npoints) for d in (2, 1, 0))
+    disc = _add(F, _mul(F, B, B),
+                _mul(F, _mul(F, A, F.neg(F.from_int(4))), C))
+    chi = F.chi2_v(disc) if isinstance(disc, np.ndarray) else F.chi2(disc)
+    if isinstance(A, np.ndarray) or not A:
+        counts = np.where(A != 0, 1 + chi,
+                          np.where(B != 0, 1, np.where(C == 0, q, 0)))
+        return int(np.broadcast_to(counts, (npoints,)).sum())
+    # a nonzero constant A makes every point quadratic
+    return npoints + int(np.broadcast_to(chi, (npoints,)).sum())
 
 
 def _sweep_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
@@ -411,7 +472,6 @@ def _quad_private_grid(eqs: list[FP], i: int, v: int, vs: list[int],
     total = q ** len(vs)
     nterms = sum(len(e.c) for e in eqs) + 6
     budget.spend(total * nterms // 16 + 1)
-    minus4 = F.neg(F.from_int(4))
     count = 0
     start = 0
     while start < total:
@@ -430,19 +490,8 @@ def _quad_private_grid(eqs: list[FP], i: int, v: int, vs: list[int],
         start += width
         if not mask.any():
             continue
-        zero = np.zeros(width, dtype=np.int64)
-        A = by[2].evaluate_vec(coords, width) if 2 in by else zero
-        B = by[1].evaluate_vec(coords, width) if 1 in by else zero
-        C = by[0].evaluate_vec(coords, width) if 0 in by else zero
-        disc = F.add_v(F.mul_v(B, B), F.mulc_v(F.mul_v(A, C), minus4))
-        counts = np.zeros(width, dtype=np.int64)
-        quad = mask & (A != 0)
-        counts[quad] = 1 + F.chi2_v(disc[quad])
-        lin = mask & (A == 0) & (B != 0)
-        counts[lin] = 1
-        degen = mask & (A == 0) & (B == 0)
-        counts[degen] = np.where(C[degen] == 0, q, 0)
-        count += int(counts.sum())
+        kept = {w: x[mask] for w, x in coords.items()}
+        count += _quad_root_count(by, kept, int(np.count_nonzero(mask)), F)
     return count
 
 

@@ -4,6 +4,11 @@ Elements are plain ints: residues for a prime field, base-p digit packings
 of F_p[x]/(modulus) for an extension field.  Extension multiplication runs
 through discrete EXP/LOG tables built once per field, so bulk operations
 vectorize with numpy.
+
+addc_v adds one field element to a vector without broadcasting it first.
+The prime subfield of an extension field is its elements below p, the
+constant polynomials, so adding one of them touches only digit 0 of each
+element; other constants fall back to add_v.
 """
 
 from __future__ import annotations
@@ -96,6 +101,10 @@ class PrimeField:
     # vector interface: int64 arrays of residues
     def add_v(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.p
+
+    def addc_v(self, a: np.ndarray, c: int) -> np.ndarray:
+        """Add the field element c to every entry of a."""
+        return (a + c) % self.p
 
     def mul_v(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a * b) % self.p
@@ -384,6 +393,14 @@ class ExtField:
             bb = bb // p
             mul *= p
         return out
+
+    def addc_v(self, a: np.ndarray, c: int) -> np.ndarray:
+        """Add the field element c to every entry of a."""
+        p = self.p
+        if c >= p:
+            return self.add_v(a, np.full_like(a, c))
+        low = a % p
+        return a - low + (low + c) % p
 
     def mul_v(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros_like(a)

@@ -29,7 +29,7 @@ __all__ = [
     "quasi_unipotent_period", "load_resolution",
 ]
 
-_SOURCES = ("jets", "resolution")
+_SOURCES = ("resolution",)
 
 
 def _expect_int(value: object, what: str) -> int:

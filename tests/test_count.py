@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.errors import ResourceLimitError
 from jetzeta.jets.classify import class_of_jets
-from jetzeta.jets.count import (FP, GRID_CAP, _Budget, _fold_system, _solve,
-                                _sweep_count, count_points, naive_count)
+from jetzeta.jets.count import (FP, GRID_CAP, _Budget, _chi2_pair_count,
+                                _fold_system, _quad_private_grid,
+                                _quad_root_count, _solve, _sweep_count,
+                                count_points, naive_count)
 from jetzeta.jets.gf import make_field
 from jetzeta.jets.poly import MultiPoly, parse_poly
 from jetzeta.jets.system import JetConstraintSystem, build_jet_system
@@ -155,6 +158,33 @@ def test_large_prime_beyond_grid_cap():
     assert jc.route == "residue"
     assert max(jc.table.primes) <= 1009
     assert count_points(build_jet_system(f, [0, 0], 6), q) == jc.cls.evaluate(q)
+
+
+@pytest.mark.parametrize("q, count", [
+    (5 ** 8, 540366362766775409909314475953578948974609375),
+    (7 ** 7, 211718130979806089547798376418108587985691569957),
+])
+def test_cusp_trace_towers_pinned(q, count):
+    # the trace route reads chi of the cusp at m=6 off these two towers
+    assert count_points(_sys("x1^2 + x2^3", [0, 0], 6), q) == count
+
+
+@pytest.mark.parametrize("q", [9, 25, 49])
+def test_quadratic_helpers_constant_leading_no_linear_term(q):
+    # 3 v^2 + w^3 - w - 1 = 0, and beside it w^2 = u + 2 in a third
+    # variable: A is a constant and B is absent
+    quad = MultiPoly(3, {(2, 0, 0): 3, (0, 3, 0): 1, (0, 1, 0): -1,
+                         (0, 0, 0): -1})
+    other = MultiPoly(3, {(0, 2, 0): 1, (0, 0, 1): -1, (0, 0, 0): -2})
+    F = make_field(q)
+    budget = _Budget(1 << 40)
+    one = _system(3, [quad])
+    (eq,) = _fold_system(one, F)
+    assert _chi2_pair_count(eq, 0, 1, budget) * q == naive_count(one, q)
+    two = _system(3, [quad, other])
+    eqs = _fold_system(two, F)
+    assert _quad_private_grid(eqs, 0, 0, [1, 2], F, budget) == \
+        naive_count(two, q) == count_points(two, q)
 
 
 @pytest.mark.parametrize("text, m, q, count, spent, memo", [
@@ -325,3 +355,93 @@ def test_fp_caches_match_fresh_recomputation(data):
     for _ in range(k):
         want = FP(F, n, _mul_ref(F, want.c, a.c))
     assert a.pow(k).c == want.c
+
+
+# -- vector kernels: constants stay scalars ----------------------------------
+
+KERNEL_FIELD_SIZES = FIELD_SIZES + [49, 125]
+
+
+def _elements(data, F, size: int) -> np.ndarray:
+    return np.array(data.draw(st.lists(st.integers(0, F.q - 1), min_size=size,
+                                       max_size=size)), dtype=np.int64)
+
+
+def _eval_ref(F, p: FP, point: list[int]) -> int:
+    acc = 0
+    for e, c in p.c.items():
+        term = c
+        for x, k in zip(point, e):
+            term = F.mul(term, F.pow(x, k))
+        acc = F.add(acc, term)
+    return acc
+
+
+@seed(20261022)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_addc_v_matches_broadcast_add(data):
+    q = data.draw(st.sampled_from(KERNEL_FIELD_SIZES))
+    F = make_field(q)
+    a = np.concatenate([F.all_elements(), _elements(data, F, 20)])
+    snapshot = a.copy()
+    for c in range(q):
+        got = F.addc_v(a, c)
+        assert got is not a
+        assert np.array_equal(got, F.add_v(a, np.full_like(a, c)))
+    assert np.array_equal(a, snapshot)
+
+
+@seed(20261023)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_evaluate_vec_matches_scalar_evaluation(data):
+    q = data.draw(st.sampled_from(KERNEL_FIELD_SIZES))
+    F = make_field(q)
+    n = 3
+    p = _fp(data, F, n)
+    shape = data.draw(st.sampled_from(["as drawn", "constant term",
+                                       "no constant term", "constant only",
+                                       "zero"]))
+    c = dict(p.c)
+    zero = (0,) * n
+    if shape == "constant term":
+        c[zero] = data.draw(st.integers(1, q - 1))
+    elif shape == "no constant term":
+        c.pop(zero, None)
+    elif shape == "constant only":
+        c = {zero: data.draw(st.integers(1, q - 1))}
+    elif shape == "zero":
+        c = {}
+    p = FP(F, n, c)
+    npoints = data.draw(st.integers(1, 12))
+    coords = {v: _elements(data, F, npoints) for v in range(n)}
+    snapshot = {v: x.copy() for v, x in coords.items()}
+    got = p.evaluate_vec(coords, npoints)
+    want = [_eval_ref(F, p, [int(coords[v][i]) for v in range(n)])
+            for i in range(npoints)]
+    assert got.tolist() == want
+    assert not any(np.shares_memory(got, x) for x in coords.values())
+    assert all(np.array_equal(coords[v], snapshot[v]) for v in range(n))
+
+
+@seed(20261024)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quad_root_count_matches_pointwise_roots(data):
+    q = data.draw(st.sampled_from([3, 5, 7, 9, 11, 25, 49, 125]))
+    F = make_field(q)
+    n = 2
+    by = {d: p for d in (2, 1, 0)
+          if not (p := _fp(data, F, n)).is_zero() and data.draw(st.booleans())}
+    by.setdefault(2, FP.const(F, n, data.draw(st.integers(1, q - 1))))
+    npoints = data.draw(st.integers(1, 12))
+    coords = {v: _elements(data, F, npoints) for v in range(n)}
+    want = 0
+    for i in range(npoints):
+        point = [int(coords[v][i]) for v in range(n)]
+        a, b, c = (_eval_ref(F, by[d], point) if d in by else 0
+                   for d in (2, 1, 0))
+        want += sum(1 for x in range(q)
+                    if F.add(F.add(F.mul(a, F.mul(x, x)), F.mul(b, x)), c) == 0)
+    assert _quad_root_count(by, coords, npoints, F) == want

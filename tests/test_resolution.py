@@ -96,10 +96,11 @@ def test_acampo_sequence_and_fiber_euler():
 
 def test_lefschetz_sequence_validation():
     with pytest.raises(MalformedDataError):
-        LefschetzSequence((), "jets")
-    with pytest.raises(MalformedDataError):
-        LefschetzSequence((0, 1), "guess")
-    seq = LefschetzSequence((0, 2), "jets")
+        LefschetzSequence((), "resolution")
+    for tag in ("guess", "jets"):
+        with pytest.raises(MalformedDataError):
+            LefschetzSequence((0, 1), tag)
+    seq = LefschetzSequence((0, 2), "resolution")
     with pytest.raises(ValueError):
         seq.value(3)
 
@@ -151,7 +152,7 @@ def test_quasi_unipotent_period_examples():
     assert quasi_unipotent_period(cusp) == (6, -1)
     sq = LefschetzSequence((0, 2) * 3, "resolution")
     assert quasi_unipotent_period(sq) == (2, 2)
-    zeros = LefschetzSequence((0,) * 6, "jets")
+    zeros = LefschetzSequence((0,) * 6, "resolution")
     assert quasi_unipotent_period(zeros) == (1, 0)
 
 
@@ -159,7 +160,7 @@ def test_quasi_unipotent_period_needs_two_periods():
     short = LefschetzSequence((0, 2, 3, 2), "resolution")
     with pytest.raises(NoPeriodError):
         quasi_unipotent_period(short)
-    aperiodic = LefschetzSequence((0, 1, 2, 3, 4, 5), "jets")
+    aperiodic = LefschetzSequence((0, 1, 2, 3, 4, 5), "resolution")
     with pytest.raises(NoPeriodError):
         quasi_unipotent_period(aperiodic)
 
