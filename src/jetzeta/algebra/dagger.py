@@ -217,11 +217,10 @@ class DaggerSeries:
                 coeffs[t - lo] = coeffs[t - lo] + c
         # dividing by (1 - L^a T^b) is the recurrence c_m += L^a * c_(m-b)
         for a, b in self._den:
-            ratio = LaurentPoly.L(a)
             for m in range(b, width):
                 prev = coeffs[m - b]
                 if not prev.is_zero():
-                    coeffs[m] = coeffs[m] + prev * ratio
+                    coeffs[m] = coeffs[m] + prev.shifted(a)
         if lo < 0:
             if any(not coeffs[i].is_zero() for i in range(-lo)):
                 raise ValueError("series has nonzero coefficients at negative T-powers")
@@ -319,14 +318,13 @@ def _divide_num_by_factor(num: dict[int, LaurentPoly], a: int, b: int):
     lo, hi = min(num), max(num)
     if hi - lo < b:
         return None
-    ratio = LaurentPoly.L(a)
     zero = LaurentPoly.zero()
     s: dict[int, LaurentPoly] = {}
     for m in range(lo, hi + 1):
         c = num.get(m, zero)
         prev = s.get(m - b)
         if prev is not None:
-            c = c + prev * ratio
+            c = c + prev.shifted(a)
         if not c.is_zero():
             s[m] = c
     for m in s:
@@ -340,11 +338,10 @@ def _prefix_mul_factors(prefix: Sequence[LaurentPoly],
     """Prefix of prefix * prod (1 - L^a T^b), truncated to the same length."""
     out = list(prefix)
     for a, b in factors:
-        ratio = LaurentPoly.L(a)
         for m in range(len(out) - 1, b - 1, -1):
             prev = out[m - b]
             if not prev.is_zero():
-                out[m] = out[m] - prev * ratio
+                out[m] = out[m] - prev.shifted(a)
     return out
 
 

@@ -8,6 +8,11 @@ exact combination of terms P(t) * U^(g*t): lattice endpoints k0(m), k1(m) are
 affine in t on the class, so per-coordinate geometric sums close up.  Summing
 t^d * z^t with z = U^g T^R via the Eulerian numerators A_d(z)/(1-z)^(d+1)
 turns each class into a DaggerSeries directly -- no truncation, no fitting.
+Each term crosses every coordinate with a nonzero form coefficient a
+(points aside) exactly once, through a geometric sum over 1 - U^(-a), so the
+whole face shares the U-denominator prod (1 - U^(-a_i)): numerators are
+summed over it and divided out once at the end, and no U-rational type is
+needed.
 
 Faces that mix coordinates are enumerated to finitely many s_m and fitted
 with ds_fit against structural candidate factors read off the face's closure
@@ -85,112 +90,6 @@ class AffineFormPW:
         return cls.make(n, pieces)
 
 
-# ---------------------------------------------------------------------------
-# rational functions of U alone: LaurentPoly / prod (1 - U^e)^k, e != 0
-
-def _ufactor(e: int) -> LaurentPoly:
-    return LaurentPoly({0: 1, e: -1})
-
-
-class _URat:
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: Optional[Counter] = None):
-        self.num = num
-        self.den = den if den is not None else Counter()
-
-    @classmethod
-    def monomial(cls, e: int, coeff: int = 1) -> "_URat":
-        return cls(LaurentPoly({e: coeff}))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __mul__(self, other: "_URat") -> "_URat":
-        return _URat(self.num * other.num, self.den + other.den)
-
-    def __neg__(self) -> "_URat":
-        return _URat(-self.num, Counter(self.den))
-
-    def __add__(self, other: "_URat") -> "_URat":
-        common = self.den | other.den
-        n1, n2 = self.num, other.num
-        for e, k in (common - self.den).items():
-            n1 = n1 * _ufactor(e) ** k
-        for e, k in (common - other.den).items():
-            n2 = n2 * _ufactor(e) ** k
-        return _URat(n1 + n2, common)
-
-    def scale_monomial(self, e: int, coeff: int = 1) -> "_URat":
-        return _URat(self.num.shifted(e) * coeff, Counter(self.den))
-
-
-class _USeries:
-    """T-rational accumulator with _URat coefficients: a dict t -> _URat over
-    a common multiset of (g, R) factors meaning (1 - U^g T^R)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self):
-        self.num: dict[int, _URat] = {}
-        self.den: Counter = Counter()
-
-    def _mul_in_factor(self, g: int, R: int) -> None:
-        out: dict[int, _URat] = {}
-        for t, c in self.num.items():
-            cur = out.get(t)
-            out[t] = c if cur is None else cur + c
-            shifted = -c.scale_monomial(g)
-            cur = out.get(t + R)
-            out[t + R] = shifted if cur is None else cur + shifted
-        self.num = {t: c for t, c in out.items() if not c.is_zero()}
-
-    def add(self, num: dict[int, _URat], den: Counter) -> None:
-        missing_self = den - self.den
-        new_den = self.den | den
-        for (g, R), k in missing_self.items():
-            for _ in range(k):
-                self._mul_in_factor(g, R)
-        other = dict(num)
-        for (g, R), k in (new_den - den).items():
-            for _ in range(k):
-                out: dict[int, _URat] = {}
-                for t, c in other.items():
-                    cur = out.get(t)
-                    out[t] = c if cur is None else cur + c
-                    shifted = -c.scale_monomial(g)
-                    cur = out.get(t + R)
-                    out[t + R] = shifted if cur is None else cur + shifted
-                other = {t: c for t, c in out.items() if not c.is_zero()}
-        for t, c in other.items():
-            cur = self.num.get(t)
-            c = c if cur is None else cur + c
-            if c.is_zero():
-                self.num.pop(t, None)
-            else:
-                self.num[t] = c
-        self.den = new_den
-
-    def to_dagger(self) -> DaggerSeries:
-        if not self.num:
-            return DaggerSeries.zero()
-        common_u: Counter = Counter()
-        for c in self.num.values():
-            common_u |= c.den
-        dpoly = LaurentPoly.one()
-        for e, k in common_u.items():
-            dpoly = dpoly * _ufactor(e) ** k
-        out: dict[int, LaurentPoly] = {}
-        for t, c in self.num.items():
-            scaled = c.num
-            for e, k in (common_u - c.den).items():
-                scaled = scaled * _ufactor(e) ** k
-            # the common U-denominator divides every coefficient exactly
-            # because each s_m is a Laurent polynomial in U
-            out[t] = scaled.divide_exact(dpoly)
-        return DaggerSeries(out, list(self.den.elements()))
-
-
 def _eulerian(d: int) -> list[int]:
     """Coefficients of A_d(z) with sum_(t>=0) t^d z^t = A_d(z)/(1-z)^(d+1)."""
     a = [1]
@@ -213,28 +112,31 @@ def _eulerian(d: int) -> list[int]:
 # closed-form engine for separable faces
 
 def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
-                        b_const: int) -> _USeries:
+                        b_const: int) -> DaggerSeries:
     """Exact zeta of one open face that is a product of points and open
     intervals, all bounded."""
     R = 1
     for lo, hi, is_point in pieces:
         R = lcm(R, lo.denominator, hi.denominator)
-    acc = _USeries()
-    one = _URat(LaurentPoly.one())
+    # every term crosses each geometric coordinate once, over 1 - U^(-a)
+    udiv = LaurentPoly.one()
+    for (_, _, is_point), a in zip(pieces, a_coeffs):
+        if a and not is_point:
+            udiv = udiv * LaurentPoly({0: 1, -a: -1})
+    # (t, coeff) numerator items keyed by (g, k): denominator (1 - U^g T^R)^k
+    groups: dict[tuple[int, int], list[tuple[int, LaurentPoly]]] = {}
     for sigma in range(R):
-        t0 = 1 if sigma == 0 else 0
-        # each term: (coefficient in U, exponent slope g, poly in t)
-        terms: list[tuple[_URat, int, list[_URat]]] = [(one, 0, [one])]
+        # each term: (U-monomial coefficient, exponent slope g, poly in t)
+        terms: list[tuple[LaurentPoly, int, list[int]]] = [(LaurentPoly.one(), 0, [1])]
         for (lo, hi, is_point), a in zip(pieces, a_coeffs):
             if is_point:
-                qv = lo.denominator
-                if sigma % qv:
+                if sigma % lo.denominator:
                     terms = []
                     break
                 # U^(-a*m*v) with m*v = sigma*v + (R*v)*t
                 sv = int(sigma * lo)
                 rv = int(R * lo)
-                terms = [(c.scale_monomial(-a * sv), g - a * rv, poly)
+                terms = [(c.shifted(-a * sv), g - a * rv, poly)
                          for c, g, poly in terms]
                 continue
             a0, a1 = int(R * lo), int(R * hi)
@@ -242,44 +144,36 @@ def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
             b1 = ceil(sigma * hi) - 1
             if a == 0:
                 # lattice count (a1-a0)*t + (b1-b0+1), linear in t
-                lin = [_URat(LaurentPoly.from_int(b1 - b0 + 1)),
-                       _URat(LaurentPoly.from_int(a1 - a0))]
-                new_terms = []
-                for c, g, poly in terms:
-                    prod = [_URat(LaurentPoly.zero())
-                            for _ in range(len(poly) + 1)]
-                    for i, pc in enumerate(poly):
-                        for j, lc in enumerate(lin):
-                            prod[i + j] = prod[i + j] + pc * lc
-                    while len(prod) > 1 and prod[-1].is_zero():
-                        prod.pop()
-                    new_terms.append((c, g, prod))
-                terms = new_terms
+                c0, c1 = b1 - b0 + 1, a1 - a0
+                terms = [(c, g, [c0 * x + c1 * y
+                                 for x, y in zip(poly + [0], [0] + poly)])
+                         for c, g, poly in terms]
                 continue
             # geometric: (U^(-a*k0) - U^(-a*(k1+1))) / (1 - U^(-a))
-            e = -a
-            den = Counter({e: 1})
-            lead = _URat(LaurentPoly({-a * b0: 1}), den)
-            trail = _URat(LaurentPoly({-a * (b1 + 1): -1}), den)
-            terms = [(c * piece_c, g + dg, poly)
+            terms = [(piece_c, g + dg, poly)
                      for c, g, poly in terms
-                     for piece_c, dg in ((lead, -a * a0), (trail, -a * a1))]
+                     for piece_c, dg in ((c.shifted(-a * b0), -a * a0),
+                                         (-c.shifted(-a * (b1 + 1)), -a * a1))]
         if b_const:
-            terms = [(c.scale_monomial(-b_const * sigma), g - b_const * R, poly)
+            terms = [(c.shifted(-b_const * sigma), g - b_const * R, poly)
                      for c, g, poly in terms]
         for c, g, poly in terms:
             for d, pc in enumerate(poly):
-                coeff = c * pc
-                if coeff.is_zero():
+                if not pc:
                     continue
-                num = {}
-                for j, alpha in enumerate(_eulerian(d)):
-                    if alpha:
-                        num[sigma + R * j] = coeff.scale_monomial(g * j, alpha)
-                acc.add(num, Counter({(g, R): d + 1}))
-                if t0 == 1 and d == 0:
-                    acc.add({sigma: -coeff}, Counter())
-    return acc
+                coeff = c * pc
+                groups.setdefault((g, d + 1), []).extend(
+                    (sigma + R * j, coeff.shifted(g * j) * alpha)
+                    for j, alpha in enumerate(_eulerian(d)) if alpha)
+                # the sum over t >= 0 counts m = 0 on the class sigma = 0
+                if sigma == 0 and d == 0:
+                    groups.setdefault((0, 0), []).append((sigma, -coeff))
+    total = sum((DaggerSeries(items, [(g, R)] * k)
+                 for (g, k), items in groups.items()), DaggerSeries.zero())
+    # udiv divides every coefficient exactly because each s_m is a Laurent
+    # polynomial in U
+    return DaggerSeries({t: c.divide_exact(udiv) for t, c in total.num.items()},
+                        total.den)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +232,8 @@ def _enumerated_face_series(face: Face, a: Sequence[int], b: int,
     if order > _ENUM_ORDER_CAP:
         raise ResourceLimitError(
             "enumeration order for the fitting path exceeds the supported scale")
-    single = PolySet(face.cell.n, (face.cell,))
-    prefix = [LaurentPoly.zero()]
-    for m in range(1, order + 1):
-        acc: dict[int, int] = {}
-        for p in lattice_points(single, m):
-            ml = m * _form_value(a, b, p)
-            if ml.denominator != 1:
-                raise AssertionError("m * l(gamma) must be integral")
-            e = -int(ml)
-            acc[e] = acc.get(e, 0) + 1
-        prefix.append(LaurentPoly(acc))
+    prefix = zeta_terms(PolySet(face.cell.n, (face.cell,)),
+                        AffineFormPW.linear(a, b), order)
     return ds_fit(prefix, list(cands.elements()))
 
 
@@ -389,7 +274,7 @@ def zeta_polytope(S: PolySet, form: AffineFormPW, M: int = 16) -> DaggerSeries:
             for lo, hi, _ in pieces:
                 if lo is None or hi is None:
                     raise UnboundedInputError("zeta_polytope requires a bounded set")
-            parts.append(_family_face_series(pieces, a, b).to_dagger())
+            parts.append(_family_face_series(pieces, a, b))
         else:
             parts.append(_enumerated_face_series(face, a, b, M))
     if not parts:

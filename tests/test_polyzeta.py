@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -135,6 +137,19 @@ def test_zeta_limit_matches_chi_randomized():
 
 
 def test_zeta_expansion_matches_enumeration_randomized():
+    h = Fraction(1, 2)
+    q = Fraction(1, 4)
+    # (box, form coefficients, constant): a separable face sums its terms
+    # over one U-denominator prod (1 - U^(-a)), so cover repeated factors,
+    # negative a, points with denominator > 1 and a nonzero constant
+    cases = [
+        ([(0, 1, False, False), (-h, 3 * q, True, False), (q, 2, False, True)],
+         [2, 2, 2], 0),
+        ([(-3 * q, h, True, True), (0, 3 * h, False, True)], [-1, 2], 3),
+        ([(3 * h, 3 * h, True, True), (-h, q, False, True)], [3, -2], -1),
+        ([(q, q, True, True), (-1, h, False, True), (0, 5 * q, True, False)],
+         [-2, -1, -1], 2),
+    ]
     rng = random.Random(99)
     quarters = [Fraction(k, 4) for k in range(-8, 9)]
     for _ in range(12):
@@ -143,12 +158,46 @@ def test_zeta_expansion_matches_enumeration_randomized():
         for _ in range(n):
             lo, hi = sorted(rng.sample(quarters, 2))
             iv.append((lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        cases.append((iv, [rng.randint(-2, 2) for _ in range(n)],
+                      rng.randint(-2, 2)))
+    k = 8
+    for iv, a, b in cases:
         S = PolySet.box(iv)
-        f = AffineFormPW.linear(
-            [rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
+        f = AffineFormPW.linear(a, b)
         z = zeta_polytope(S, f)
-        k = 8
-        assert z.expand(k) == zeta_terms(S, f, k)
+        assert z.expand(k) == zeta_terms(S, f, k), (iv, a, b)
+
+
+# first 16 hex digits of the SHA-256 of json.dumps(Z.to_json(),
+# sort_keys=True) for every 16th of the 200 boxes of acceptance criterion 6
+CRITERION_6_DIGESTS = {
+    0: "d45d93e4e6547fc5", 16: "c606d7384915ad6b", 32: "89fa3aefbb44c065",
+    48: "b63cee36585e6767", 64: "a55f6c212479a23a", 80: "8cd70a8b0798476f",
+    96: "a15bf0ef88671c23", 112: "538a135f6a939c47", 128: "d2ffad6e17bec343",
+    144: "e216c36956146867", 160: "468385006f779e34", 176: "46a3e55876655770",
+    192: "5957cbc78eb3dfb8",
+}
+
+
+def test_zeta_presentation_pinned_on_criterion_6_sample():
+    # == cross-multiplies, so it cannot see a numerator and denominator that
+    # changed together; the digest pins the exact presentation
+    rng = random.Random(0xC6_2026)
+    for i in range(200):
+        n = rng.randint(1, 3)
+        intervals = []
+        for _ in range(n):
+            k0, k1 = sorted((rng.randint(-36, 36), rng.randint(-36, 36)))
+            intervals.append((Fraction(k0, 12), Fraction(k1, 12),
+                              rng.random() < 0.5, rng.random() < 0.5))
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        form = AffineFormPW.linear(coeffs, rng.randint(-3, 3))
+        if i not in CRITERION_6_DIGESTS:
+            continue
+        text = json.dumps(zeta_polytope(PolySet.box(intervals), form).to_json(),
+                          sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == CRITERION_6_DIGESTS[i], (i, intervals, coeffs)
 
 
 def test_zeta_union_presentation_invariance():
