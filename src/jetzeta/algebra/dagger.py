@@ -128,11 +128,6 @@ class DaggerSeries:
     def is_zero(self) -> bool:
         return not self._num
 
-    def num_degree(self) -> int:
-        if not self._num:
-            raise ValueError("zero numerator has no degree")
-        return max(self._num)
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "DaggerSeries") -> "DaggerSeries":

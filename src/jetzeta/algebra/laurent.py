@@ -80,12 +80,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return min(self._c)
 
-    @property
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

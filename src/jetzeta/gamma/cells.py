@@ -146,13 +146,6 @@ class PolySet:
         return cls(n, ())
 
     @classmethod
-    def from_cells(cls, cells: Iterable[RationalCell]) -> "PolySet":
-        cells = tuple(cells)
-        if not cells:
-            raise ValueError("use PolySet.empty for the empty union")
-        return cls(cells[0].n, cells)
-
-    @classmethod
     def box(cls, intervals: Sequence[tuple]) -> "PolySet":
         """Product of intervals (lo, hi, lo_closed, hi_closed); None = infinite.
 

@@ -19,6 +19,17 @@ Only systems that neither these nor the earlier reductions fit reach the
 O(q^k) grid fallbacks, which give up once q^k exceeds GRID_CAP.
 naive_count enumerates the full grid and is the reference oracle.
 
+The grid rules, the chi2-pair rule and _uni_roots scan field points
+through one chunked enumerator: _grid_zeros walks the grid F_q^k in index
+ranges of _CHUNK points and yields the zeros of the given equations in
+each range.  _enumerate sums a per-point weight over them: 1 for the grid
+fallback and naive_count, or the number of roots of an equation quadratic
+in a variable no other equation has (the private grid; the chi2-pair rule
+is its case of one grid variable and no other equation).  _uni_roots reads
+its roots off the same loop.  So these rules hold at most _CHUNK points at
+a time at any field size; the line sweep still evaluates its q + 1
+directions at once.
+
 The recursion asks each polynomial the same questions many times, so FP
 keeps per-object caches, each filled on first use: one pass over the
 monomials gives the degree in every variable (hence vars_used and deg_in)
@@ -33,7 +44,9 @@ Vector evaluation never materialises a constant: evaluate_vec starts from
 its first non-constant term and adds the constant term last with addc_v,
 and the quadratic root count shared by the chi2-pair rule and the private
 grid keeps constant coefficients as field scalars, so the trace route's
-v^2 = g(w) leaves need no vector addition at all.
+v^2 = g(w) leaves need no vector addition at all.  With a constant A and
+no linear term the quadratic character factors, chi2(-4A*C) =
+chi2(-4A)*chi2(C), so C is not scaled either.
 """
 
 from __future__ import annotations
@@ -330,15 +343,15 @@ def _fold_system(sys: JetConstraintSystem, F) -> list[FP]:
 
 
 def _uni_roots(eq: FP, v: int, budget: _Budget) -> list[int]:
-    """All roots of a univariate equation by vectorized scan."""
+    """All roots of a univariate equation by a chunked scan."""
     F = eq.F
     st = eq.single_term()
     if st is not None:
         # c * v^d = 0 forces v = 0
         return [0]
     budget.spend(F.q * len(eq.c) // 16 + 1)
-    vals = eq.evaluate_vec({v: F.all_elements()}, F.q)
-    return [int(x) for x in np.nonzero(vals == 0)[0]]
+    return [int(x) for coords, _ in _grid_zeros([eq], [v], F)
+            for x in coords[v]]
 
 
 def _chi2_pair_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
@@ -348,9 +361,8 @@ def _chi2_pair_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
     through the quadratic character of the discriminant.
     """
     F = eq.F
-    q = F.q
-    budget.spend(q * (len(eq.c) + 4) // 16 + 1)
-    return _quad_root_count(eq.coeffs_by_power(v), {w: F.all_elements()}, q, F)
+    budget.spend(F.q * (len(eq.c) + 4) // 16 + 1)
+    return _enumerate([], [w], F, eq.coeffs_by_power(v))
 
 
 # A value at the points is a vector, or a field scalar when it is the same
@@ -390,10 +402,16 @@ def _quad_root_count(by: Mapping[int, FP], coords: Mapping[int, np.ndarray],
     A, B, C = by[2], by[1], by[0] are evaluated there.
 
     A point has 1 + chi2(B^2 - 4AC) roots where A != 0; else one root
-    where B != 0; else q roots where C = 0 and none elsewhere.
+    where B != 0; else q roots where C = 0 and none elsewhere.  With B = 0
+    and a constant A the character splits, chi2(-4A) * chi2(C), so C is
+    never scaled.
     """
     q = F.q
     A, B, C = (_values(by.get(d), coords, npoints) for d in (2, 1, 0))
+    if (isinstance(C, np.ndarray) and not isinstance(A, np.ndarray) and A
+            and not isinstance(B, np.ndarray) and not B):
+        chi_a = F.chi2(F.mul(A, F.neg(F.from_int(4))))
+        return npoints + chi_a * int(F.chi2_v(C).sum())
     disc = _add(F, _mul(F, B, B),
                 _mul(F, _mul(F, A, F.neg(F.from_int(4))), C))
     chi = F.chi2_v(disc) if isinstance(disc, np.ndarray) else F.chi2(disc)
@@ -433,30 +451,43 @@ def _sweep_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
     return count + (d1 > 0)
 
 
-def _grid_count(eqs: list[FP], vs: list[int], F, budget: _Budget) -> int:
-    """Chunked full enumeration over the listed variables."""
+def _grid_zeros(eqs: list[FP], vs: list[int], F):
+    """The points of the grid F_q^vs where every equation vanishes, one
+    chunk of at most _CHUNK grid points at a time, as (coords, n): the n
+    points' values of each variable in vs."""
     q = F.q
     total = q ** len(vs)
-    nterms = sum(len(e.c) for e in eqs) + 1
-    budget.spend(total * nterms // 16 + 1)
-    count = 0
-    start = 0
-    while start < total:
+    for start in range(0, total, _CHUNK):
         width = min(_CHUNK, total - start)
-        idx = np.arange(start, start + width, dtype=np.int64)
+        rem = np.arange(start, start + width, dtype=np.int64)
         coords: dict[int, np.ndarray] = {}
-        rem = idx
-        for v in vs:
+        for v in vs[:-1]:
             coords[v] = rem % q
             rem = rem // q
-        mask = np.ones(width, dtype=bool)
+        if vs:
+            coords[vs[-1]] = rem
+        mask = None
         for e in eqs:
-            mask &= e.evaluate_vec(coords, width) == 0
+            zero = e.evaluate_vec(coords, width) == 0
+            mask = zero if mask is None else mask & zero
             if not mask.any():
                 break
-        count += int(mask.sum())
-        start += width
-    return count
+        n = width if mask is None else int(np.count_nonzero(mask))
+        if n == width:
+            yield coords, n
+        elif n:
+            yield {v: x[mask] for v, x in coords.items()}, n
+
+
+def _enumerate(eqs: list[FP], vs: list[int], F,
+               by: Mapping[int, FP] | None = None) -> int:
+    """Sum of a per-point weight over the zeros of eqs in F_q^vs: 1, or,
+    given by = {d: coefficient of v^d} of an equation quadratic in a
+    variable v outside vs and eqs, its number of v-roots at the point."""
+    if by is None:
+        return sum(n for _, n in _grid_zeros(eqs, vs, F))
+    return sum(_quad_root_count(by, coords, n, F)
+               for coords, n in _grid_zeros(eqs, vs, F))
 
 
 def _quad_private_grid(eqs: list[FP], i: int, v: int, vs: list[int],
@@ -466,33 +497,9 @@ def _quad_private_grid(eqs: list[FP], i: int, v: int, vs: list[int],
     v must appear in no other equation, so each grid point satisfying the
     other equations contributes its quadratic v-root count 1 + chi2(disc).
     """
-    q = F.q
-    by = eqs[i].coeffs_by_power(v)
-    others = eqs[:i] + eqs[i + 1:]
-    total = q ** len(vs)
     nterms = sum(len(e.c) for e in eqs) + 6
-    budget.spend(total * nterms // 16 + 1)
-    count = 0
-    start = 0
-    while start < total:
-        width = min(_CHUNK, total - start)
-        idx = np.arange(start, start + width, dtype=np.int64)
-        coords: dict[int, np.ndarray] = {}
-        rem = idx
-        for w in vs:
-            coords[w] = rem % q
-            rem = rem // q
-        mask = np.ones(width, dtype=bool)
-        for e in others:
-            mask &= e.evaluate_vec(coords, width) == 0
-            if not mask.any():
-                break
-        start += width
-        if not mask.any():
-            continue
-        kept = {w: x[mask] for w, x in coords.items()}
-        count += _quad_root_count(by, kept, int(np.count_nonzero(mask)), F)
-    return count
+    budget.spend(F.q ** len(vs) * nterms // 16 + 1)
+    return _enumerate(eqs[:i] + eqs[i + 1:], vs, F, eqs[i].coeffs_by_power(v))
 
 
 def _pin(eqs: list[FP], v: int, rep: FP) -> list[FP]:
@@ -683,7 +690,9 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
                         work, i, v, rest_vars, F, budget)
 
     if q ** len(used) <= GRID_CAP:
-        return factor * _grid_count(work, sorted(used), F, budget)
+        nterms = sum(len(e.c) for e in work) + 1
+        budget.spend(q ** len(used) * nterms // 16 + 1)
+        return factor * _enumerate(work, sorted(used), F)
 
     raise ResourceLimitError(
         f"no applicable reduction for {len(work)} equations in "
@@ -713,5 +722,4 @@ def naive_count(sys: JetConstraintSystem, q: int,
         if cv is not None and cv != 0:
             return 0
     eqs = [e for e in eqs if e.const_value() is None]
-    budget = _Budget(1 << 62)
-    return _grid_count(eqs, list(range(sys.n_jet_vars)), F, budget)
+    return _enumerate(eqs, list(range(sys.n_jet_vars)), F)

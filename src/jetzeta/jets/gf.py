@@ -5,6 +5,17 @@ of F_p[x]/(modulus) for an extension field.  Extension multiplication runs
 through discrete EXP/LOG tables built once per field, so bulk operations
 vectorize with numpy.
 
+EXP lists g^0, g^1, ... for the generator g, built in blocks of digit
+planes (one small-int array per base-p digit).  A base block of
+_BASE_BLOCK columns is filled by doubling: columns s..2s-1 are columns
+0..s-1 times g^s.  The block at t0 is the base block times g^t0, that is
+k^2 scalar-times-plane multiply-adds with the matrix of multiplication by
+g^t0, reduced mod p and packed into the int32 EXP.  The planes are int16
+when no sum of k products of digits can reach 2^15, else int64.  A float64
+matmul would take fewer numpy calls, but BLAS runs it on a second thread:
+in a trial that raised CPU time and peak memory of the extension-field
+benchmark, while the integer planes stay on one thread.
+
 addc_v adds one field element to a vector without broadcasting it first.
 The prime subfield of an extension field is its elements below p, the
 constant polynomials, so adding one of them touches only digit 0 of each
@@ -20,6 +31,8 @@ import numpy as np
 from ..errors import ResourceLimitError
 
 _MAX_TABLE_FIELD = 30_000_000
+# columns of the base block of digit planes the EXP table is built from
+_BASE_BLOCK = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -163,17 +176,20 @@ def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> lis
     return out
 
 
-def _poly_pow_x(e: int, modulus: list[int], p: int) -> list[int]:
-    """x^e mod modulus (degree of modulus must be >= 2)."""
-    k = len(modulus) - 1
-    result = [1] + [0] * (k - 1)
-    base = [0, 1] + [0] * (k - 2)
+def _poly_pow(a: list[int], e: int, modulus: list[int], p: int) -> list[int]:
+    """a^e mod modulus (degree of modulus must be >= 2)."""
+    result = [1] + [0] * (len(modulus) - 2)
     while e:
         if e & 1:
-            result = _poly_mul_mod(result, base, modulus, p)
-        base = _poly_mul_mod(base, base, modulus, p)
+            result = _poly_mul_mod(result, a, modulus, p)
+        a = _poly_mul_mod(a, a, modulus, p)
         e >>= 1
     return result
+
+
+def _digits(v: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of v, lowest first."""
+    return [v // p ** i % p for i in range(k)]
 
 
 def _strip(v: list[int]) -> list[int]:
@@ -202,13 +218,14 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(modulus: list[int], p: int, k: int) -> bool:
-    xq = _poly_pow_x(p ** k, modulus, p)
+    x = [0, 1] + [0] * (k - 2)
+    xq = _poly_pow(x, p ** k, modulus, p)
     xq[1] = (xq[1] - 1) % p
     if any(xq):
         return False
     for ell in factorize(k):
         d = k // ell
-        xd = _poly_pow_x(p ** d, modulus, p)
+        xd = _poly_pow(x, p ** d, modulus, p)
         xd[1] = (xd[1] - 1) % p
         if len(_poly_gcd(modulus, xd, p)) > 1:
             return False
@@ -237,90 +254,76 @@ class ExtField:
         p, k = self.p, self.k
         # smallest monic modulus in packed-constant order
         for packed in range(p ** k):
-            digits = []
-            v = packed
-            for _ in range(k):
-                digits.append(v % p)
-                v //= p
-            cand = digits + [1]
+            cand = _digits(packed, p, k) + [1]
             if _is_irreducible(cand, p, k):
                 return cand
         raise AssertionError("no irreducible modulus found")
-
-    def _encode(self, digits: list[int]) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
         # generator: smallest packed element of full multiplicative order
         fac = list(factorize(q - 1))
-        gen_digits = None
+        one = [1] + [0] * (k - 1)
         for packed in range(2, q):
-            digits = []
-            v = packed
-            for _ in range(k):
-                digits.append(v % p)
-                v //= p
-            ok = True
-            for ell in fac:
-                e = (q - 1) // ell
-                acc = [1] + [0] * (k - 1)
-                base = digits
-                ee = e
-                while ee:
-                    if ee & 1:
-                        acc = _poly_mul_mod(acc, base, self.modulus, p)
-                    base = _poly_mul_mod(base, base, self.modulus, p)
-                    ee >>= 1
-                if acc == [1] + [0] * (k - 1):
-                    ok = False
-                    break
-            if ok:
-                gen_digits = digits
+            gen_digits = _digits(packed, p, k)
+            if all(_poly_pow(gen_digits, (q - 1) // ell, self.modulus, p) != one
+                   for ell in fac):
                 break
-        assert gen_digits is not None
-        self.generator = self._encode(gen_digits)
+        else:
+            raise AssertionError("no generator found")
+        self.generator = packed
 
-        # EXP by blocks: a digit block advances by the matrix of mul-by-g^B
-        M = np.zeros((k, k), dtype=np.int64)
-        for j in range(k):
-            col = [0] * k
-            col[j] = 1
-            col = _poly_mul_mod(col, gen_digits, self.modulus, p)
-            M[:, j] = col
-        B = min(4096, q - 1)
-        block = np.zeros((k, B), dtype=np.int64)
-        cur = np.zeros(k, dtype=np.int64)
-        cur[0] = 1
-        for t in range(B):
-            block[:, t] = cur
-            cur = (M @ cur) % p
-        MB = np.eye(k, dtype=np.int64)
-        e = B
-        Mp = M.copy()
-        while e:
-            if e & 1:
-                MB = (MB @ Mp) % p
-            Mp = (Mp @ Mp) % p
-            e >>= 1
-
-        powers = np.array([p ** i for i in range(k)], dtype=np.int64)
+        # EXP: a base block of digit planes, then each later block as the
+        # base times g^t0, k^2 scalar-times-plane products per block
+        dtype = np.int16 if k * (p - 1) ** 2 < 1 << 15 else np.int64
+        B = min(_BASE_BLOCK, q - 1)
+        base = np.zeros((k, B), dtype=dtype)
+        base[0, 0] = 1
+        step, g_step = 1, gen_digits
+        while step < B:
+            width = min(step, B - step)
+            self._times(g_step, base, width, base[:, step:step + width])
+            step *= 2
+            g_step = _poly_mul_mod(g_step, g_step, self.modulus, p)
+        # g^B, one step past the base block's last column
+        g_block = _poly_mul_mod([int(d) for d in base[:, B - 1]], gen_digits,
+                                self.modulus, p)
         exp = np.empty(q - 1, dtype=np.int32)
-        t0 = 0
-        while t0 < q - 1:
+        planes = np.empty_like(base)
+        g_t0 = one
+        for t0 in range(0, q - 1, B):
             width = min(B, q - 1 - t0)
-            exp[t0:t0 + width] = (powers @ block[:, :width]).astype(np.int32)
-            t0 += width
-            if t0 < q - 1:
-                block = (MB @ block) % p
+            block = base if t0 == 0 else self._times(g_t0, base, width, planes)
+            # pack the digits low first: exp = sum of digit_i * p^i
+            seg = exp[t0:t0 + width]
+            seg[:] = block[k - 1, :width]
+            for i in range(k - 2, -1, -1):
+                seg *= p
+                seg += block[i, :width]
+            g_t0 = _poly_mul_mod(g_t0, g_block, self.modulus, p)
         self.EXP = exp
         log = np.full(q, -1, dtype=np.int32)
         log[exp] = np.arange(q - 1, dtype=np.int32)
         self.LOG = log
         assert log[1] == 0
+
+    def _times(self, elt: list[int], planes: np.ndarray, width: int,
+               out: np.ndarray) -> np.ndarray:
+        """Digit planes of elt times the first width columns of planes,
+        written into out: digit i is sum_j M[i][j] * planes[j] mod p, with
+        M the matrix of multiplication by elt."""
+        p, k = self.p, self.k
+        cols = [_poly_mul_mod([int(i == j) for i in range(k)], elt,
+                              self.modulus, p) for j in range(k)]
+        for i in range(k):
+            acc = out[i, :width]
+            acc[:] = 0
+            for j in range(k):
+                if cols[j][i]:
+                    acc += cols[j][i] * planes[j, :width]
+            # numpy divides by a scalar fast, and takes a remainder slowly
+            acc -= acc // p * p
+        return out
 
     def from_int(self, c: int) -> int:
         return c % self.p

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.errors import ResourceLimitError
+from jetzeta.jets import count
 from jetzeta.jets.classify import class_of_jets
 from jetzeta.jets.count import (FP, GRID_CAP, _Budget, _chi2_pair_count,
                                 _fold_system, _quad_private_grid,
@@ -201,6 +203,80 @@ def test_recursion_path_pinned(text, m, q, count, spent, memo):
     budget = _Budget(10 ** 12)
     got = _solve(_fold_system(sys, F), frozenset(range(sys.n_jet_vars)), F, budget)
     assert (got, 10 ** 12 - budget.left, len(budget.memo)) == (count, spent, memo)
+
+
+# -- the chunked enumerator, with chunk edges inside the field ---------------
+
+def test_small_chunks_match_naive_on_fixtures(monkeypatch):
+    monkeypatch.setattr(count, "_CHUNK", 7)
+    cases = [("x1^2", [0]), ("x1*x2", [0, 0]),
+             ("x1^2 + x2^2", [0, 0]), ("x1^2 + x2^3", [0, 0])]
+    for text, x in cases:
+        f = parse_poly(text)
+        for m in range(1, 5):
+            for q in (3, 5, 7, 9):
+                if q ** (f.n_vars * m) > 5000:
+                    continue
+                sys = build_jet_system(f, x, m)
+                assert count_points(sys, q) == naive_count(sys, q), \
+                    (text, m, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_small_chunks_visit_every_grid_point_once(q, monkeypatch):
+    monkeypatch.setattr(count, "_CHUNK", 7)
+    F = make_field(q)
+    grid = list(itertools.product(range(q), repeat=3))
+    # x0^2 = x1 x2 over a chunked grid of (x1, x2, x0), in that order
+    eq = FP.from_int_poly(F, MultiPoly(3, {(2, 0, 0): 1, (0, 1, 1): -1}))
+    for eqs, want in (([], grid),
+                      ([eq], [x for x in grid
+                              if F.mul(x[0], x[0]) == F.mul(x[1], x[2])])):
+        seen = []
+        for coords, n in count._grid_zeros(eqs, [1, 2, 0], F):
+            assert all(len(c) == n for c in coords.values())
+            seen += zip(*(coords[v].tolist() for v in range(3)))
+        assert sorted(seen) == want
+        assert count._enumerate(eqs, [1, 2, 0], F) == len(want)
+
+
+def _private_quadratic(with_b: bool, with_grid: bool) -> JetConstraintSystem:
+    # 2 v^2 [+ w1^2 v] + C = 0 with v = x0 in no other equation: alone in
+    # two variables it is a chi2-pair leaf, beside a cubic in (w1, w2) the
+    # private grid counts it; exponents 0, 2, 3 keep the earlier rules off
+    if with_grid:
+        c = {(0, 2, 2): 1, (0, 0, 3): 1, (0, 0, 0): 1}
+        other = [MultiPoly(3, {(0, 3, 0): 1, (0, 0, 3): 1, (0, 2, 2): 1,
+                               (0, 0, 0): 2})]
+    else:
+        c = {(0, 3, 0): 1, (0, 2, 0): 3, (0, 0, 0): 1}
+        other = []
+    quad = {(2, 0, 0): 2, **c}
+    if with_b:
+        quad[(1, 2, 0)] = 1
+    return _system(3, [MultiPoly(3, quad)] + other)
+
+
+@pytest.mark.parametrize("with_grid", [False, True])
+@pytest.mark.parametrize("with_b", [False, True])
+@pytest.mark.parametrize("q", [3, 7, 11, 19])
+def test_small_chunks_match_naive_on_private_quadratic(q, with_b, with_grid,
+                                                       monkeypatch):
+    # p = 3 mod 4, so chi2(-1) = -1 and chi2(-4A) = chi2(-8) is -1 at 7, 11
+    # and 19: a sign slip in factoring chi2(-4A C) out shows; with B != 0
+    # the count takes the discriminant path
+    monkeypatch.setattr(count, "_CHUNK", 7)
+    weights = []
+    enumerate_ = count._enumerate
+
+    def spy(eqs, vs, F, by=None):
+        weights.append(by is not None)
+        return enumerate_(eqs, vs, F, by)
+
+    monkeypatch.setattr(count, "_enumerate", spy)
+    sys = _private_quadratic(with_b, with_grid)
+    assert count_points(sys, q) == naive_count(sys, q)
+    assert any(weights)
 
 
 # -- property tests of the line rules against full enumeration ----------------

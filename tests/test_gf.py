@@ -103,6 +103,56 @@ def test_ext_field_tables_match_naive(p, k):
             assert F.add(a, b) == s
 
 
+def _ext_fields(q_max: int) -> list[tuple[int, int]]:
+    return [(p, k) for p in range(2, q_max) if is_prime(p)
+            for k in range(2, q_max.bit_length()) if p ** k <= q_max]
+
+
+# every extension field up to 20 000 elements: the p = 2 towers, and from
+# 131^2 on (2 * 130^2 >= 2^15) fields whose digit planes are int64; a base
+# block of 61 columns makes most of them span several blocks
+@pytest.mark.parametrize("block", [gf._BASE_BLOCK, 61])
+@pytest.mark.parametrize("p,k", _ext_fields(20_000))
+def test_ext_tables_match_repeated_multiplication(p, k, block, monkeypatch):
+    monkeypatch.setattr(gf, "_BASE_BLOCK", block)
+    F = ExtField(p, k)
+    g = _digits(F.generator, p, k)
+    one = [1] + [0] * (k - 1)
+    exp = []
+    cur = one
+    for _ in range(F.q - 1):
+        exp.append(sum(d * p ** i for i, d in enumerate(cur)))
+        cur = gf._poly_mul_mod(cur, g, F.modulus, p)
+    assert cur == one
+    log = [-1] * F.q
+    for t, x in enumerate(exp):
+        log[x] = t
+    assert F.EXP.dtype == F.LOG.dtype == np.int32
+    assert F.EXP.tolist() == exp
+    assert F.LOG.tolist() == log
+    assert np.array_equal(F.LOG[F.EXP], np.arange(F.q - 1))
+    assert F.LOG[0] == -1
+
+
+@pytest.mark.parametrize("p,k", [(3, 11), (257, 2)])
+def test_ext_tables_step_by_generator_across_blocks(p, k):
+    # q - 1 > 2^16, so EXP spans several full-size blocks; EXP[0] = 1 and
+    # EXP[t + 1] = g * EXP[t], multiplied out on the digits, give EXP[t] = g^t
+    F = ExtField(p, k)
+    assert F.q - 1 > gf._BASE_BLOCK
+    g = _digits(F.generator, p, k)
+    mat = np.array([gf._poly_mul_mod([int(i == j) for i in range(k)], g,
+                                     F.modulus, p) for j in range(k)]).T
+    exp = F.EXP.astype(np.int64)
+    digits = np.array([exp // p ** i % p for i in range(k)])
+    step = (mat @ digits) % p
+    powers = np.array([p ** i for i in range(k)])
+    assert F.EXP[0] == 1
+    assert np.array_equal(powers @ step, np.roll(exp, -1))
+    assert np.array_equal(F.LOG[F.EXP], np.arange(F.q - 1))
+    assert F.LOG[0] == -1
+
+
 def test_ext_field_generator_order():
     F = ExtField(3, 3)
     seen = set()
