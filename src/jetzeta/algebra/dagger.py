@@ -18,6 +18,13 @@ exponent a*(lcm/b) + a'*(lcm/b'), so the product over factor pairs of
 sequence; the numerator is then solved from expanded terms and verified on a
 generous margin.  (With equal periods b = b' the ratio exponent reduces to
 a + a'.)
+
+Numerators are dicts t-exponent -> LaurentPoly without zero entries, and
+every sum of them goes through one merge, _merged.  Dense work on T-prefixes
+runs through one recurrence pair for the factor 1 - L^a T^b: dividing is
+c_m += L^a * c_(m-b) in ascending m, multiplying is c_m -= L^a * c_(m-b) in
+descending m.  Expansion and exact division use the first; fitting and the
+Hadamard numerator clear denominators with the second, through _cleared.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ Factor = tuple[int, int]
 SeriesPrefix = list[LaurentPoly]
 
 _FIT_SUBSET_BUDGET = 250_000
+# trailing cleared coefficients that must vanish for a fit to be accepted;
+# they double as its verification terms
+_FIT_MARGIN = 4
 
 
 def _check_factor(f) -> Factor:
@@ -46,24 +56,52 @@ def _check_factor(f) -> Factor:
     return (a, b)
 
 
-def _num_mul_factor(num: dict[int, LaurentPoly], a: int, b: int) -> dict[int, LaurentPoly]:
-    """Multiply a T-polynomial (dict t-exp -> LaurentPoly) by (1 - L^a T^b)."""
+def _coeff(c) -> LaurentPoly:
+    if not isinstance(c, LaurentPoly):
+        raise TypeError("numerator coefficients must be LaurentPoly")
+    return c
+
+
+def _merged(items: Iterable[tuple[int, LaurentPoly]]) -> dict[int, LaurentPoly]:
+    """Sum (t-exp, coefficient) items by t-exp, dropping zero sums."""
     out: dict[int, LaurentPoly] = {}
-    for t, c in num.items():
-        cur = out.get(t)
-        cur = c if cur is None else cur + c
-        if cur.is_zero():
+    for t, c in items:
+        prev = out.get(t)
+        c = c if prev is None else prev + c
+        if c.is_zero():
             out.pop(t, None)
         else:
-            out[t] = cur
-        shifted = c.shifted(a)
-        cur = out.get(t + b)
-        cur = -shifted if cur is None else cur - shifted
-        if cur.is_zero():
-            out.pop(t + b, None)
-        else:
-            out[t + b] = cur
+            out[t] = c
     return out
+
+
+def _num_mul_factor(num: dict[int, LaurentPoly], a: int, b: int) -> dict[int, LaurentPoly]:
+    """Multiply a T-polynomial (dict t-exp -> LaurentPoly) by (1 - L^a T^b)."""
+    return _merged(itertools.chain(
+        num.items(), ((t + b, -c.shifted(a)) for t, c in num.items())))
+
+
+def _num_mul_factors(num: dict[int, LaurentPoly],
+                     factors: Iterable[Factor]) -> dict[int, LaurentPoly]:
+    for a, b in factors:
+        num = _num_mul_factor(num, a, b)
+    return num
+
+
+def _divide_by_factor(coeffs: list[LaurentPoly], a: int, b: int) -> None:
+    """coeffs <- coeffs / (1 - L^a T^b) on a T-prefix, in place."""
+    for m in range(b, len(coeffs)):
+        prev = coeffs[m - b]
+        if not prev.is_zero():
+            coeffs[m] = coeffs[m] + prev.shifted(a)
+
+
+def _multiply_by_factor(coeffs: list[LaurentPoly], a: int, b: int) -> None:
+    """coeffs <- coeffs * (1 - L^a T^b) on a T-prefix, in place."""
+    for m in range(len(coeffs) - 1, b - 1, -1):
+        prev = coeffs[m - b]
+        if not prev.is_zero():
+            coeffs[m] = coeffs[m] - prev.shifted(a)
 
 
 class DaggerSeries:
@@ -74,21 +112,8 @@ class DaggerSeries:
     def __init__(self,
                  num: dict[int, LaurentPoly] | Iterable[tuple[int, LaurentPoly]] = (),
                  den: Iterable[Factor] = ()):
-        n: dict[int, LaurentPoly] = {}
         items = num.items() if isinstance(num, dict) else num
-        for t, c in items:
-            t = int(t)
-            if not isinstance(c, LaurentPoly):
-                raise TypeError("numerator coefficients must be LaurentPoly")
-            if c.is_zero():
-                continue
-            prev = n.get(t)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                n.pop(t, None)
-            else:
-                n[t] = c
-        self._num = n
+        self._num = _merged((int(t), _coeff(c)) for t, c in items)
         self._den: tuple[Factor, ...] = tuple(sorted(_check_factor(f) for f in den))
 
     # -- constructors --------------------------------------------------
@@ -135,23 +160,10 @@ class DaggerSeries:
             return NotImplemented
         d1, d2 = Counter(self._den), Counter(other._den)
         common = d1 | d2  # multiset max: least common denominator
-        num1 = dict(self._num)
-        for f, mult in (common - d1).items():
-            for _ in range(mult):
-                num1 = _num_mul_factor(num1, *f)
-        num2 = dict(other._num)
-        for f, mult in (common - d2).items():
-            for _ in range(mult):
-                num2 = _num_mul_factor(num2, *f)
-        total = dict(num1)
-        for t, c in num2.items():
-            cur = total.get(t)
-            cur = c if cur is None else cur + c
-            if cur.is_zero():
-                total.pop(t, None)
-            else:
-                total[t] = cur
-        return DaggerSeries(total, list(common.elements()))
+        num1 = _num_mul_factors(self._num, (common - d1).elements())
+        num2 = _num_mul_factors(other._num, (common - d2).elements())
+        return DaggerSeries(itertools.chain(num1.items(), num2.items()),
+                            common.elements())
 
     def __neg__(self) -> "DaggerSeries":
         return DaggerSeries({t: -c for t, c in self._num.items()}, self._den)
@@ -164,18 +176,10 @@ class DaggerSeries:
     def __mul__(self, other: "DaggerSeries") -> "DaggerSeries":
         if not isinstance(other, DaggerSeries):
             return NotImplemented
-        num: dict[int, LaurentPoly] = {}
-        for t1, c1 in self._num.items():
-            for t2, c2 in other._num.items():
-                t = t1 + t2
-                c = c1 * c2
-                cur = num.get(t)
-                cur = c if cur is None else cur + c
-                if cur.is_zero():
-                    num.pop(t, None)
-                else:
-                    num[t] = cur
-        return DaggerSeries(num, self._den + other._den)
+        return DaggerSeries(((t1 + t2, c1 * c2)
+                             for t1, c1 in self._num.items()
+                             for t2, c2 in other._num.items()),
+                            self._den + other._den)
 
     def scale(self, c: LaurentPoly | int) -> "DaggerSeries":
         if isinstance(c, int):
@@ -186,13 +190,8 @@ class DaggerSeries:
         if not isinstance(other, DaggerSeries):
             return NotImplemented
         # cross-multiply: num1 * den2 == num2 * den1 as T-polynomials
-        n1 = dict(self._num)
-        for f in other._den:
-            n1 = _num_mul_factor(n1, *f)
-        n2 = dict(other._num)
-        for f in self._den:
-            n2 = _num_mul_factor(n2, *f)
-        return n1 == n2
+        return (_num_mul_factors(self._num, other._den)
+                == _num_mul_factors(other._num, self._den))
 
     # equality is up to common factors, so there is no cheap canonical hash
     __hash__ = None
@@ -210,12 +209,8 @@ class DaggerSeries:
         for t, c in self._num.items():
             if t <= order:
                 coeffs[t - lo] = coeffs[t - lo] + c
-        # dividing by (1 - L^a T^b) is the recurrence c_m += L^a * c_(m-b)
         for a, b in self._den:
-            for m in range(b, width):
-                prev = coeffs[m - b]
-                if not prev.is_zero():
-                    coeffs[m] = coeffs[m] + prev.shifted(a)
+            _divide_by_factor(coeffs, a, b)
         if lo < 0:
             if any(not coeffs[i].is_zero() for i in range(-lo)):
                 raise ValueError("series has nonzero coefficients at negative T-powers")
@@ -243,21 +238,20 @@ class DaggerSeries:
 
     def peeled(self) -> "DaggerSeries":
         """Equivalent series with every denominator factor that exactly
-        divides the numerator cancelled."""
-        num = dict(self._num)
-        den = list(self._den)
-        changed = True
-        while changed and den and num:
-            changed = False
-            for i, (a, b) in enumerate(den):
+        divides the numerator cancelled.
+
+        One pass in factor order suffices: a factor that does not divide the
+        numerator cannot divide its quotient by another factor either.
+        """
+        num = self._num
+        den: list[Factor] = []
+        if num:
+            for a, b in self._den:
                 quo = _divide_num_by_factor(num, a, b)
-                if quo is not None:
+                if quo is None:
+                    den.append((a, b))
+                else:
                     num = quo
-                    del den[i]
-                    changed = True
-                    break
-        if not num:
-            den = []
         return DaggerSeries(num, den)
 
     def hadamard(self, other: "DaggerSeries") -> "DaggerSeries":
@@ -314,38 +308,23 @@ def _divide_num_by_factor(num: dict[int, LaurentPoly], a: int, b: int):
     if hi - lo < b:
         return None
     zero = LaurentPoly.zero()
-    s: dict[int, LaurentPoly] = {}
-    for m in range(lo, hi + 1):
-        c = num.get(m, zero)
-        prev = s.get(m - b)
-        if prev is not None:
-            c = c + prev.shifted(a)
-        if not c.is_zero():
-            s[m] = c
-    for m in s:
-        if m > hi - b:
-            return None
-    return s
+    s = [num.get(m, zero) for m in range(lo, hi + 1)]
+    _divide_by_factor(s, a, b)
+    if any(not c.is_zero() for c in s[hi - lo - b + 1:]):
+        return None
+    return {lo + i: c for i, c in enumerate(s) if not c.is_zero()}
 
 
-def _prefix_mul_factors(prefix: Sequence[LaurentPoly],
-                        factors: Iterable[Factor]) -> list[LaurentPoly]:
-    """Prefix of prefix * prod (1 - L^a T^b), truncated to the same length."""
+def _cleared(prefix: Sequence[LaurentPoly], factors: Iterable[Factor],
+             top: int) -> dict[int, LaurentPoly] | None:
+    """Numerator of prefix * prod (1 - L^a T^b) when every cleared
+    coefficient above T^top vanishes, else None."""
     out = list(prefix)
     for a, b in factors:
-        for m in range(len(out) - 1, b - 1, -1):
-            prev = out[m - b]
-            if not prev.is_zero():
-                out[m] = out[m] - prev.shifted(a)
-    return out
-
-
-def _prefix_degree(prefix: Sequence[LaurentPoly]):
-    deg = float("-inf")
-    for m, c in enumerate(prefix):
-        if not c.is_zero():
-            deg = m
-    return deg
+        _multiply_by_factor(out, a, b)
+    if any(not c.is_zero() for c in out[top + 1:]):
+        return None
+    return {m: c for m, c in enumerate(out) if not c.is_zero()}
 
 
 # -- module-level operation names ------------------------------------------
@@ -388,33 +367,28 @@ def ds_hadamard(h: DaggerSeries, g: DaggerSeries) -> DaggerSeries:
     eh = h.expand(order)
     eg = g.expand(order)
     termwise = [ch * cg for ch, cg in zip(eh, eg)]
-    num_prefix = _prefix_mul_factors(termwise, factors)
-    bound = start + den_deg - 1
-    for m in range(bound + 1, order + 1):
-        if not num_prefix[m].is_zero():
-            raise FitFailure(
-                "hadamard verification terms disagree (implementation bug)",
-                prefix=termwise, candidates=factors)
-    num = {m: c for m, c in enumerate(num_prefix[:bound + 1]) if not c.is_zero()}
+    num = _cleared(termwise, factors, start + den_deg - 1)
+    if num is None:
+        raise FitFailure(
+            "hadamard verification terms disagree (implementation bug)",
+            prefix=termwise, candidates=factors)
     return DaggerSeries(num, factors).peeled()
 
 
-def ds_fit(prefix: Sequence[LaurentPoly], candidate_factors: Iterable[Factor],
-           margin: int = 4) -> DaggerSeries:
+def ds_fit(prefix: Sequence[LaurentPoly],
+           candidate_factors: Iterable[Factor]) -> DaggerSeries:
     """Smallest-denominator rational form reproducing the whole prefix.
 
     Tries subsets of the candidate factor multiset in order of total
     T-degree, then factor count, then lexicographic on the sorted factor
     tuples.  A subset S fits when prefix * prod(S) truncates to a numerator
-    of degree <= len(prefix) - 1 - margin, i.e. the last margin terms of the
-    cleared series vanish; those coefficients double as the verification
-    terms.  Raises FitFailure when no subset fits.
+    of degree <= len(prefix) - 1 - _FIT_MARGIN, i.e. the last _FIT_MARGIN
+    terms of the cleared series vanish; those coefficients double as the
+    verification terms.  Raises FitFailure when no subset fits.
     """
-    if margin < 4:
-        raise ValueError("verification margin must be >= 4")
-    n = len(prefix) - 1
-    if n < 0:
+    if not prefix:
         raise ValueError("empty prefix")
+    top = len(prefix) - 1 - _FIT_MARGIN
     counts = sorted(Counter(_check_factor(f) for f in candidate_factors).items())
     total_subsets = 1
     for _, mult in counts:
@@ -428,13 +402,12 @@ def ds_fit(prefix: Sequence[LaurentPoly], candidate_factors: Iterable[Factor],
         for (f, _), k in zip(counts, choice):
             combo.extend([f] * k)
         tot = sum(b for _, b in combo)
-        if tot <= n - margin:
+        if tot <= top:
             subsets.append((tot, len(combo), tuple(combo)))
     subsets.sort()
     for _, _, combo in subsets:
-        cleared = _prefix_mul_factors(prefix, combo)
-        if _prefix_degree(cleared) <= n - margin:
-            num = {m: c for m, c in enumerate(cleared) if not c.is_zero()}
+        num = _cleared(prefix, combo, top)
+        if num is not None:
             return DaggerSeries(num, combo)
     raise FitFailure(
         "no candidate denominator subset reproduces the prefix "

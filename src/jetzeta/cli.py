@@ -356,7 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--primes", type=int, default=None,
                        help="prime budget per interpolation")
         p.add_argument("--node-budget", type=int, default=_DEFAULT_NODE_BUDGET)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads: over jet orders m in lefschetz, "
+                            "over primes in count; zeta ignores it")
         p.add_argument("--json", action="store_true", dest="output_json")
 
     p_lef = sub.add_parser("lefschetz",

@@ -9,7 +9,11 @@ characteristic and independent of presentation.  Everything is exact.
 Two decomposition paths: a fast one when every row constrains a single
 coordinate (the union is then a union of interval products and faces are
 products of points and open intervals), and a general incremental
-hyperplane-splitting path with Fourier-Motzkin feasibility checks.
+hyperplane-splitting path with Fourier-Motzkin feasibility checks.  Faces of
+the fast path carry their per-coordinate (lo, hi, is_point) pieces, the data
+the lattice and zeta series are built from; faces of the general path carry
+a row for every hyperplane, one of which mixes coordinates, and have none.
+_faces_of is the one place that keeps the faces lying inside a live cell.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from math import ceil, floor, gcd
+from typing import Iterable, Optional, Sequence
 
 from ..algebra.dagger import DaggerSeries
 from ..algebra.laurent import LaurentPoly
@@ -195,13 +199,15 @@ class PolySet:
 class Face:
     """Relatively open nonempty cell of a hyperplane arrangement."""
 
-    __slots__ = ("cell", "dim", "_sample")
+    __slots__ = ("cell", "dim", "_sample", "pieces")
 
     def __init__(self, cell: RationalCell, dim: int,
-                 sample: Optional[tuple[Fraction, ...]] = None):
+                 sample: Optional[tuple[Fraction, ...]] = None,
+                 pieces: Optional[tuple[tuple, ...]] = None):
         self.cell = cell
         self.dim = dim
         self._sample = sample
+        self.pieces = pieces
 
     @property
     def sample(self) -> tuple[Fraction, ...]:
@@ -231,14 +237,13 @@ def _axis_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
                     breaks[j].add(rhs / c)
     axis_pieces: list[list[tuple]] = []
     for j in range(n):
-        pts = sorted(breaks[j])
-        pieces: list[tuple] = []  # (lo, hi) with lo == hi meaning a point
+        pieces: list[tuple] = []  # (lo, hi, is_point)
         prev = None
-        for v in pts:
-            pieces.append((prev, v))
-            pieces.append((v, v))
+        for v in sorted(breaks[j]):
+            pieces.append((prev, v, False))
+            pieces.append((v, v, True))
             prev = v
-        pieces.append((prev, None))
+        pieces.append((prev, None, False))
         axis_pieces.append(pieces)
     faces = []
     unit = lambda j, s: tuple(s if i == j else 0 for i in range(n))
@@ -246,8 +251,8 @@ def _axis_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
         eq, lt = [], []
         dim = 0
         sample = []
-        for j, (lo, hi) in enumerate(combo):
-            if lo is not None and lo == hi:
+        for j, (lo, hi, is_point) in enumerate(combo):
+            if is_point:
                 eq.append((unit(j, 1), lo))
                 sample.append(lo)
                 continue
@@ -265,13 +270,13 @@ def _axis_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
             else:
                 sample.append(Fraction(0))
         faces.append(Face(RationalCell(n, tuple(eq), tuple(lt), ()),
-                          dim, tuple(sample)))
+                          dim, tuple(sample), combo))
     return faces
 
 
-def _hyperplane_key(coeffs: Sequence[int], rhs: Fraction):
-    """Canonical (coeffs, rhs, orientation): primitive integer data with the
-    first nonzero coefficient positive."""
+def _hyperplane_key(coeffs: Sequence[int], rhs: Fraction) -> Row:
+    """Canonical (coeffs, rhs): primitive integer data with the first
+    nonzero coefficient positive."""
     den = rhs.denominator
     ints = [c * den for c in coeffs]
     r = rhs.numerator
@@ -279,21 +284,20 @@ def _hyperplane_key(coeffs: Sequence[int], rhs: Fraction):
     if g > 1:
         ints = [v // g for v in ints]
         r //= g
-    orient = 1
     for v in ints:
         if v:
             if v < 0:
-                orient = -1
                 ints = [-w for w in ints]
                 r = -r
             break
-    return (tuple(ints), Fraction(r)), orient
+    return tuple(ints), Fraction(r)
 
 
-def _rank(rows: Sequence[Row]) -> int:
-    mat = [[Fraction(c) for c in coeffs] for coeffs, _ in rows]
+def _row_reduce(mat: list[list[Fraction]], cols: int) -> int:
+    """Gauss-Jordan elimination of mat in place over its first cols columns;
+    returns the rank.  A nonsingular square system [A | b] ends as
+    [diag | b'], with solution b'_i / diag_i."""
     rank = 0
-    cols = len(mat[0]) if mat else 0
     for col in range(cols):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
@@ -315,7 +319,7 @@ def _general_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
         for coeffs, rhs in (*cell.eq, *cell.lt, *cell.le):
             if not any(coeffs):
                 continue
-            key, _ = _hyperplane_key(coeffs, rhs)
+            key = _hyperplane_key(coeffs, rhs)
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
@@ -340,7 +344,8 @@ def _general_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
     out = []
     for eq_rows, lt_rows in faces:
         cell = RationalCell(n, tuple(eq_rows), tuple(lt_rows), ())
-        out.append(Face(cell, n - _rank(eq_rows)))
+        mat = [[Fraction(c) for c in coeffs] for coeffs, _ in eq_rows]
+        out.append(Face(cell, n - _row_reduce(mat, n)))
     return out
 
 
@@ -356,50 +361,27 @@ def arrangement_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
     return _general_faces(live, n)
 
 
-def decompose_open(S: PolySet) -> PolySet:
-    """Disjoint relatively open cells with the same underlying point set."""
-    live = [c for c in S.cells if not c.is_empty()]
-    if not live:
-        return PolySet.empty(S.n)
-    faces = arrangement_faces(live, S.n)
-    kept = [f.cell for f in faces if any(f.inside(c) for c in live)]
-    return PolySet(S.n, tuple(kept))
-
-
-def _faces_of(S: PolySet) -> list[Face]:
-    live = [c for c in S.cells if not c.is_empty()]
+def _faces_of(cells: Sequence[RationalCell], n: int,
+              guards: Sequence[RationalCell] = ()) -> list[Face]:
+    """Faces of the arrangement of the cells' and guards' hyperplanes that lie
+    inside a nonempty cell."""
+    live = [c for c in cells if not c.is_empty()]
     if not live:
         return []
-    faces = arrangement_faces(live, S.n)
+    faces = arrangement_faces([*live, *guards], n)
     return [f for f in faces if any(f.inside(c) for c in live)]
 
 
-def face_pieces(face: Face) -> Optional[list[tuple]]:
+def decompose_open(S: PolySet) -> PolySet:
+    """Disjoint relatively open cells with the same underlying point set."""
+    return PolySet(S.n, tuple(f.cell for f in _faces_of(S.cells, S.n)))
+
+
+def face_pieces(face: Face) -> Optional[tuple[tuple, ...]]:
     """Per-coordinate (lo, hi, is_point) data when the open face is a product
     of points and open intervals (every row single-coordinate); None when the
     face mixes coordinates."""
-    n = face.cell.n
-    pieces: list[list] = [[None, None, False] for _ in range(n)]
-    for coeffs, rhs in (*face.cell.eq, *face.cell.lt, *face.cell.le):
-        if sum(1 for c in coeffs if c) > 1:
-            return None
-    for coeffs, rhs in face.cell.eq:
-        j = next(i for i, c in enumerate(coeffs) if c)
-        v = rhs / coeffs[j]
-        pieces[j] = [v, v, True]
-    for kind in (face.cell.lt, face.cell.le):
-        for coeffs, rhs in kind:
-            j = next((i for i, c in enumerate(coeffs) if c), None)
-            if j is None or pieces[j][2]:
-                continue
-            v = rhs / coeffs[j]
-            if coeffs[j] > 0:
-                if pieces[j][1] is None or v < pieces[j][1]:
-                    pieces[j][1] = v
-            else:
-                if pieces[j][0] is None or v > pieces[j][0]:
-                    pieces[j][0] = v
-    return [tuple(p) for p in pieces]
+    return face.pieces
 
 
 def _face_bounds(face: Face) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
@@ -420,7 +402,7 @@ def _face_bounds(face: Face) -> list[tuple[Optional[Fraction], Optional[Fraction
 def chi(S: PolySet) -> int:
     """o-minimal Euler characteristic: sum of (-1)^dim over open faces."""
     total = 0
-    for face in _faces_of(S):
+    for face in _faces_of(S.cells, S.n):
         for lo, hi in _face_bounds(face):
             if lo is None or hi is None:
                 raise UnboundedInputError("chi requires a bounded set")
@@ -443,7 +425,7 @@ def chi_bounded(S: PolySet) -> int:
     by standard basis vectors; detected by computing at r and 2r and
     requiring agreement.
     """
-    faces = _faces_of(S)
+    faces = _faces_of(S.cells, S.n)
     if not faces:
         return 0
     biggest = Fraction(0)
@@ -529,7 +511,7 @@ def tilde_alpha(S: PolySet, m: int) -> DaggerSeries:
     if not _axis_rows_only(S.cells):
         raise UnsupportedShapeError(
             "tilde_alpha supports finite unions of interval products only")
-    faces = _faces_of(S)
+    faces = _faces_of(S.cells, S.n)
     one = LaurentPoly.one()
     total = DaggerSeries.zero()
     for face in faces:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ..algebra.dagger import DaggerSeries, ds_fit
 from ..algebra.laurent import LaurentPoly
@@ -38,7 +38,7 @@ from ..errors import (
     LimitMismatchError, LimitUndefined, ResourceLimitError, UnboundedInputError,
 )
 from .cells import (
-    Face, PolySet, RationalCell, _frac, arrangement_faces, face_pieces,
+    Face, PolySet, RationalCell, _faces_of, _frac, _row_reduce, face_pieces,
     lattice_points,
 )
 
@@ -179,29 +179,18 @@ def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
 # ---------------------------------------------------------------------------
 # enumerate-and-fit path for non-separable faces
 
-def _solve_square(rows: Sequence[tuple], n: int) -> Optional[tuple[Fraction, ...]]:
-    mat = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if mat[i][col]), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        pr = mat[col]
-        for i in range(n):
-            if i != col and mat[i][col]:
-                f = mat[i][col] / pr[col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], pr)]
-    return tuple(mat[i][n] / mat[i][i] for i in range(n))
-
-
 def _closure_vertices(cell: RationalCell) -> list[tuple[Fraction, ...]]:
     rows = list(cell.eq) + list(cell.lt) + list(cell.le)
     n = cell.n
     seen = set()
     out = []
     for combo in combinations(rows, n):
-        v = _solve_square(combo, n)
-        if v is None or v in seen:
+        mat = [[Fraction(c) for c in coeffs] + [Fraction(rhs)]
+               for coeffs, rhs in combo]
+        if _row_reduce(mat, n) < n:
+            continue
+        v = tuple(row[n] / row[i] for i, row in enumerate(mat))
+        if v in seen:
             continue
         dot = lambda c: sum(ci * xi for ci, xi in zip(c, v))
         if (all(dot(c) == d for c, d in cell.eq)
@@ -252,16 +241,10 @@ def zeta_polytope(S: PolySet, form: AffineFormPW, M: int = 16) -> DaggerSeries:
         raise ValueError("form dimension does not match the set")
     if M < 4:
         raise ValueError("M must be at least the fitting margin 4")
-    live = [c for c in S.cells if not c.is_empty()]
-    if not live:
-        return DaggerSeries.zero()
     guards = [g for g, _, _ in form.pieces]
-    faces = arrangement_faces(live + guards, S.n)
     chi_val = 0
     parts: list[DaggerSeries] = []
-    for face in faces:
-        if not any(face.inside(c) for c in live):
-            continue
+    for face in _faces_of(S.cells, S.n, guards):
         owners = [i for i, (g, _, _) in enumerate(form.pieces) if face.inside(g)]
         if len(owners) != 1:
             raise ValueError(

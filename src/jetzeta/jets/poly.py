@@ -130,10 +130,6 @@ class MultiPoly:
             k >>= 1
         return out
 
-    def total_degree(self) -> int:
-        # -1 for the zero polynomial
-        return max((sum(e) for e in self._c), default=-1)
-
     def max_exponent(self) -> int:
         return max((x for e in self._c for x in e), default=0)
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from ..errors import NonvanishingError
+from .gf import factorize
 from .poly import MultiPoly
 
 
@@ -34,26 +34,9 @@ class JetConstraintSystem:
     def n_jet_vars(self) -> int:
         return self.n * self.m
 
-    def level_of_var(self, v: int) -> int:
-        return v // self.n + 1
-
     def bad_primes(self) -> set[int]:
         """Primes that must be avoided: they divide a cleared denominator."""
-        out: set[int] = set()
-        for t in self.targets:
-            t = abs(t)
-            d = 2
-            while d * d <= t:
-                if t % d == 0:
-                    out.add(d)
-                    while t % d == 0:
-                        t //= d
-                d += 1
-            if t > 1:
-                out.add(t)
-        out.discard(1)
-        out.discard(0)
-        return out
+        return set().union(*(factorize(abs(t)) for t in self.targets))
 
     def search_space(self, q: int) -> int:
         return q ** self.n_jet_vars

@@ -119,11 +119,6 @@ class ResolutionData:
         """An m divisible by every multiplicity, so every stratum is active."""
         return lcm(*(c.N for c in self.components)) if self.components else 1
 
-    def fiber_euler(self) -> int:
-        """Euler number of the Milnor fiber: the A'Campo sum with every
-        singleton stratum active."""
-        return sum(c.N * st.chi for c, st in self.singleton_strata())
-
     @classmethod
     def from_json(cls, data: object) -> "ResolutionData":
         if not isinstance(data, dict):

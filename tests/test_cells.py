@@ -16,6 +16,7 @@ from jetzeta.gamma import (
     RationalCell, PolySet, decompose_open, chi, chi_bounded, weight,
     lattice_points, alpha_m, tilde_alpha,
 )
+from jetzeta.gamma.cells import _faces_of, arrangement_faces
 
 
 def closed_interval(lo, hi):
@@ -238,3 +239,49 @@ def test_decompose_is_disjoint_and_exhaustive_on_lattice():
         for p in lattice_points(PolySet.box([(-1, 3, True, True)] * 2), m):
             inside = sum(1 for c in D.cells if c.contains(p))
             assert inside == (1 if any(c.contains(p) for c in S.cells) else 0)
+
+
+def decoded_pieces(face):
+    """Per-coordinate (lo, hi, is_point) read back from the face's rows; None
+    when a row mixes coordinates."""
+    cell = face.cell
+    pieces = [[None, None, False] for _ in range(cell.n)]
+    for coeffs, _ in (*cell.eq, *cell.lt, *cell.le):
+        if sum(1 for c in coeffs if c) > 1:
+            return None
+    for coeffs, rhs in cell.eq:
+        j = next(i for i, c in enumerate(coeffs) if c)
+        v = rhs / coeffs[j]
+        pieces[j] = [v, v, True]
+    for coeffs, rhs in (*cell.lt, *cell.le):
+        j = next((i for i, c in enumerate(coeffs) if c), None)
+        if j is None or pieces[j][2]:
+            continue
+        v = rhs / coeffs[j]
+        if coeffs[j] > 0:
+            if pieces[j][1] is None or v < pieces[j][1]:
+                pieces[j][1] = v
+        elif pieces[j][0] is None or v > pieces[j][0]:
+            pieces[j][0] = v
+    return tuple(tuple(p) for p in pieces)
+
+
+def test_axis_faces_carry_their_row_pieces():
+    rng = random.Random(0xCE11)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        intervals = []
+        for _ in range(n):
+            k0, k1 = sorted((rng.randint(-6, 6), rng.randint(-6, 6)))
+            intervals.append((Fraction(k0, 3), Fraction(k1, 3),
+                              rng.random() < 0.5, rng.random() < 0.5))
+        S = PolySet.box(intervals)
+        j = rng.randrange(n)
+        unit = tuple(1 if i == j else 0 for i in range(n))
+        cut = Fraction(rng.randint(-6, 6), 2)
+        guards = [RationalCell.make(n, lt=[(unit, cut)]),
+                  RationalCell.make(n, le=[(tuple(-c for c in unit), -cut)])]
+        for face in _faces_of(S.cells, n, guards):
+            assert face.pieces == decoded_pieces(face)
+    for face in arrangement_faces(triangle().cells, 2):
+        assert face.pieces is None and decoded_pieces(face) is None

@@ -8,12 +8,13 @@ recurrence, so agreement is a genuine cross-check.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.algebra import (
     LaurentPoly, DaggerSeries,
     ds_limit, ds_hadamard, ds_fit,
 )
+from jetzeta.algebra.dagger import _divide_num_by_factor, _num_mul_factor
 from jetzeta.errors import FitFailure, LimitUndefined
 
 L = LaurentPoly.L
@@ -155,11 +156,6 @@ def test_fit_prefers_smallest_denominator():
     assert fitted.is_zero() and fitted.den == ()
 
 
-def test_fit_margin_guard():
-    with pytest.raises(ValueError):
-        ds_fit([one] * 12, [(0, 1)], margin=2)
-
-
 # ---------------------------------------------------------------------------
 # randomized cross-checks
 
@@ -188,10 +184,7 @@ def test_expand_matches_oracle(num, den, order):
 @given(series_st, factor_st)
 @settings(max_examples=40, deadline=None)
 def test_degree_and_eq_invariant_under_common_factor(h, f):
-    inflated = DaggerSeries(
-        __import__("jetzeta.algebra.dagger", fromlist=["_num_mul_factor"])
-        ._num_mul_factor(h.num, *f),
-        list(h.den) + [f])
+    inflated = DaggerSeries(_num_mul_factor(h.num, *f), list(h.den) + [f])
     assert inflated == h
     if not h.is_zero():
         assert inflated.degree() == h.degree()
@@ -247,6 +240,46 @@ def test_peeled_preserves_class(h):
     p = h.peeled()
     assert p == h
     assert len(p.den) <= len(h.den)
+
+
+def restart_peeled(h: DaggerSeries) -> DaggerSeries:
+    """Reference peel: after each cancellation, retry every factor."""
+    num, den = h.num, list(h.den)
+    changed = True
+    while changed and den and num:
+        changed = False
+        for i, (a, b) in enumerate(den):
+            quo = _divide_num_by_factor(num, a, b)
+            if quo is not None:
+                num = quo
+                del den[i]
+                changed = True
+                break
+    return DaggerSeries(num, den if num else [])
+
+
+@seed(20261025)
+@given(series_st, st.lists(factor_st, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_peeled_matches_restart_loop(h, extra):
+    # inflate by common factors so that some of them cancel
+    num = h.num
+    for f in extra:
+        num = _num_mul_factor(num, *f)
+    inflated = DaggerSeries(num, list(h.den) + extra)
+    assert inflated.peeled().to_json() == restart_peeled(inflated).to_json()
+
+
+@seed(20261026)
+@given(num_st, factor_st, st.integers(min_value=0, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_divide_num_by_factor_inverts_multiplication(num, f, t):
+    n = {e: LaurentPoly(c) for e, c in num.items()}
+    multiple = _num_mul_factor(n, *f)
+    assert _divide_num_by_factor(multiple, *f) == n
+    # a nonzero monomial has no root off T = 0, so no factor divides it
+    perturbed = DaggerSeries([*multiple.items(), (t, one)]).num
+    assert _divide_num_by_factor(perturbed, *f) is None
 
 
 @given(series_st)

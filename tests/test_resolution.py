@@ -91,7 +91,7 @@ def test_acampo_sequence_and_fiber_euler():
     assert seq.source == "resolution"
     assert seq.value(6) == -1 and seq.m_max == 12
     assert res.full_period() == 6
-    assert res.fiber_euler() == acampo_lefschetz(res, res.full_period()) == -1
+    assert acampo_lefschetz(res, res.full_period()) == -1
 
 
 def test_lefschetz_sequence_validation():
