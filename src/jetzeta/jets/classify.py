@@ -13,6 +13,12 @@ Three routes, tried in order of directness:
   at infinity; this route yields the Euler number only, no class.
 
 Each fit verifies on held-out primes and failures are never coerced.
+
+A fit builds one exact Newton divided-difference table over the counts.
+The interpolant through the first d + 1 counts fits them all exactly when
+every divided difference past index d vanishes, so the least degree is
+the index of the last nonzero one; the fit then expands that prefix into
+coefficients in L, demands integers and checks every count.
 """
 
 from __future__ import annotations
@@ -129,31 +135,29 @@ def collect_counts(sys: JetConstraintSystem, qs: Sequence[int],
                             for q in qs))
 
 
-def _lagrange(points: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients (low degree first) of the interpolating polynomial."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k + 1] += c
-                new[k] -= xj * c
-            basis = new
-            denom *= xi - xj
-        w = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += w * c
-    return coeffs
+def _divided_differences(points: Sequence[tuple[int, int]]) -> list[Fraction]:
+    """Newton coefficients f[x0], f[x0, x1], ... of the points, exactly."""
+    xs = [x for x, _ in points]
+    col = [Fraction(y) for _, y in points]
+    out = col[:1]
+    for k in range(1, len(points)):
+        col = [(col[i + 1] - col[i]) / (xs[i + k] - xs[i])
+               for i in range(len(col) - 1)]
+        out.append(col[0])
+    return out
 
 
-def _class_from_points(points: Sequence[tuple[int, int]], table: CountTable,
+def _class_from_newton(newton: Sequence[Fraction], table: CountTable,
                        degree_bound: int) -> ClassPoly:
-    """Interpolate through points, demand integrality, verify on the table."""
-    coeffs = _lagrange(points)
+    """Expand the Newton form on the table's leading field sizes, demand
+    integer coefficients, verify on every entry of the table."""
+    coeffs: list[Fraction] = []
+    for a, x in zip(reversed(newton), reversed(table.primes[:len(newton)])):
+        # coeffs <- coeffs * (L - x) + a
+        coeffs = [Fraction(0)] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= x * coeffs[k + 1]
+        coeffs[0] += a
     if any(c.denominator != 1 for c in coeffs):
         raise ClassNotPolynomialError(
             "interpolated coefficients are not integers", table=table)
@@ -166,7 +170,7 @@ def _class_from_points(points: Sequence[tuple[int, int]], table: CountTable,
 
 
 def interpolate_class(table: CountTable, degree_bound: int) -> ClassPoly:
-    """Degree-bound Lagrange fit through the leading points of the table.
+    """Degree-bound fit through the leading points of the table.
 
     Uses the first degree_bound+1 entries and verifies against the rest;
     at least two verification entries are required.
@@ -175,23 +179,28 @@ def interpolate_class(table: CountTable, degree_bound: int) -> ClassPoly:
         raise ValueError(
             f"need at least {degree_bound + 3} counts for bound "
             f"{degree_bound}, got {len(table)}")
-    return _class_from_points(table.entries[:degree_bound + 1], table,
-                              degree_bound)
+    return _class_from_newton(
+        _divided_differences(table.entries[:degree_bound + 1]), table,
+        degree_bound)
 
 
 def _fit_minimal(table: CountTable, degree_bound: int) -> ClassPoly:
-    """Least-degree polynomial through the table with >= 2 spare points."""
-    last_error: ClassNotPolynomialError | None = None
-    for d in range(min(degree_bound, len(table) - 3) + 1):
-        try:
-            return _class_from_points(table.entries[:d + 1], table,
-                                      degree_bound)
-        except ClassNotPolynomialError as e:
-            last_error = e
-    if last_error is None:
+    """Least-degree polynomial through the table with >= 2 spare points.
+
+    The interpolant through the first d + 1 entries fits the whole table
+    exactly when every divided difference past index d vanishes, so one
+    table gives the least degree; past the allowed degree, the largest
+    allowed prefix fails the checks with the error a fit of that degree
+    gives.
+    """
+    top = min(degree_bound, len(table) - 3)
+    if top < 0:
         raise ClassNotPolynomialError(
             "too few counts for any verified fit", table=table)
-    raise last_error
+    newton = _divided_differences(table.entries)
+    degree = max((k for k, a in enumerate(newton) if a), default=0)
+    return _class_from_newton(newton[:min(degree, top) + 1], table,
+                              degree_bound)
 
 
 def _residue_modulus(f: MultiPoly) -> int:

@@ -6,6 +6,18 @@ coefficient vanishes recombine by inclusion-exclusion, and the final one-
 or two-variable residue is counted with vectorized field arithmetic.
 Variables no solved equation touches contribute plain powers of q.
 
+The rules are tried in order: univariate roots, a linear variable with a
+constant coefficient, a quadratic variable with a square discriminant,
+the block-linear rule, a linear variable with a polynomial coefficient,
+then the two-variable rules and the grids below.  The block-linear rule
+takes, greedily in sorted order, the variables V of one equation e that
+no other equation has, that e is linear in and that share no monomial
+with another member.  Then e = sum c_v*v + r with no c_v or r involving
+V; where some c_v is nonzero e has q^(|V|-1) solutions in V, and where
+all vanish q^|V| or none, as r vanishes or not.  So the count is
+q^(|V|-1)*(N(rest) - N(rest, all c_v = 0)) + q^|V|*N(rest, all c_v = 0,
+r = 0), three subsystems without V instead of one split per variable.
+
 Two rules count two-variable residues along lines through the origin in
 O(q) field operations:
 
@@ -502,6 +514,35 @@ def _quad_private_grid(eqs: list[FP], i: int, v: int, vs: list[int],
     return _enumerate(eqs[:i] + eqs[i + 1:], vs, F, eqs[i].coeffs_by_power(v))
 
 
+def _linear_block(work: list[FP], i: int
+                  ) -> tuple[list[int], list[FP], FP] | None:
+    """(V, [c_v for v in V], r) with work[i] = sum c_v*v + r, where V holds
+    the variables of work[i], taken greedily in sorted order, that no other
+    equation has, that are linear in work[i] and that share no monomial
+    with an earlier member; None when V would be empty."""
+    e = work[i]
+    others: set = set()
+    for j, o in enumerate(work):
+        if j != i:
+            others |= o.vars_used()
+    block: list[int] = []
+    coeffs: list[FP] = []
+    for v in sorted(e.vars_used() - others):
+        if e.deg_in(v) != 1:
+            continue
+        c = e.coeffs_by_power(v)[1]
+        # v shares a monomial with u exactly when its coefficient has u
+        if any(u in c.vars_used() for u in block):
+            continue
+        block.append(v)
+        coeffs.append(c)
+    if not block:
+        return None
+    r = FP(e.F, e.n, {m: x for m, x in e.c.items()
+                      if not any(m[v] for v in block)})
+    return block, coeffs, r
+
+
 def _pin(eqs: list[FP], v: int, rep: FP) -> list[FP]:
     """eqs with rep plugged in for v."""
     return [e.substitute(v, rep) if v in e.vars_used() else e for e in eqs]
@@ -611,6 +652,24 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
                     return factor * total
                 # non-square constant: roots exist only where M vanishes
                 return factor * recurse(_pin(rest, v, center) + [M], v)
+
+    # block of private linear variables: e = sum c_v*v + r has q^(|V|-1)
+    # solutions in V where some c_v is nonzero, and q^|V| or none where all
+    # vanish, as r does or not
+    for i in range(len(work)):
+        block = _linear_block(work, i)
+        if block is None:
+            continue
+        vs, cs, r = block
+        rest = work[:i] + work[i + 1:]
+        sub_live = live - set(vs)
+        k = len(vs)
+        free = _solve(rest, sub_live, F, budget)
+        pinned = _solve(rest + cs, sub_live, F, budget)
+        total = q ** (k - 1) * (free - pinned)
+        if pinned:
+            total += q ** k * _solve(rest + cs + [r], sub_live, F, budget)
+        return factor * total
 
     # linear variable with polynomial coefficient: split on the
     # coefficient vanishing and recombine with signs

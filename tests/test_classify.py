@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from math import comb, prod
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.algebra.laurent import LaurentPoly
 from jetzeta.errors import ClassNotPolynomialError
 from jetzeta.jets.classify import (ClassPoly, CountTable, _berlekamp_massey,
-                                   class_of_jets, collect_counts, good_primes,
+                                   _fit_minimal, class_of_jets,
+                                   collect_counts, good_primes,
                                    interpolate_class, lefschetz_via_jets,
                                    milnor_fiber_limit, zeta_via_jets)
 from jetzeta.jets.poly import MultiPoly, parse_poly
 from jetzeta.jets.system import build_jet_system
 
 L = LaurentPoly.L
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_count_table_validation():
@@ -200,3 +206,108 @@ def test_collect_counts_matches_direct():
     sys = build_jet_system(parse_poly("x1^2"), [0], 2)
     table = collect_counts(sys, [3, 5, 7])
     assert table.entries == ((3, 6), (5, 10), (7, 14))
+
+
+# -- the minimal fit: one Newton table against a Lagrange fit per degree ----
+
+def _lagrange_ref(points) -> list[Fraction]:
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k + 1] += c
+                new[k] -= xj * c
+            basis = new
+            denom *= xi - xj
+        w = Fraction(yi) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += w * c
+    return coeffs
+
+
+def _fit_minimal_ref(table: CountTable, degree_bound: int) -> ClassPoly:
+    # the fit before the Newton table: every degree in turn, each through
+    # its own Lagrange interpolation, the first verified one wins
+    last_error = None
+    for d in range(min(degree_bound, len(table) - 3) + 1):
+        coeffs = _lagrange_ref(table.entries[:d + 1])
+        if any(c.denominator != 1 for c in coeffs):
+            last_error = "interpolated coefficients are not integers"
+            continue
+        poly = LaurentPoly({k: int(c) for k, c in enumerate(coeffs) if c})
+        bad = [q for q, n in table.entries if poly.eval_at(q) != n]
+        if not bad:
+            return ClassPoly(poly, degree_bound)
+        last_error = f"interpolation fails verification at q={bad[0]}"
+    raise ClassNotPolynomialError(
+        last_error or "too few counts for any verified fit", table=table)
+
+
+@seed(20261026)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fit_minimal_matches_lagrange_per_degree(data):
+    kind = data.draw(st.sampled_from(
+        ["integer polynomial", "non-integral", "non-polynomial", "too short"]))
+    size = data.draw(st.integers(0, 2) if kind == "too short"
+                     else st.integers(3, 9))
+    qs = data.draw(st.lists(st.integers(2, 60), min_size=size,
+                            max_size=size, unique=True))
+    if kind == "non-polynomial" or kind == "too short":
+        values = data.draw(st.lists(st.integers(0, 10 ** 6), min_size=size,
+                                    max_size=size))
+    else:
+        # integer-valued polynomials sum b_k*C(q, k); only integer b_k
+        # times k! give integer coefficients
+        degree = data.draw(st.integers(1, 5))
+        ks = data.draw(st.lists(st.integers(-4, 4), min_size=degree,
+                                max_size=degree))
+        ks.append(data.draw(st.sampled_from([-2, -1, 1, 2])))
+        scale = (lambda k: prod(range(1, k + 1))) \
+            if kind == "integer polynomial" else (lambda k: 1)
+        values = [sum(b * scale(k) * comb(q, k) for k, b in enumerate(ks))
+                  for q in qs]
+        shift = max([0] + [-v for v in values])
+        values = [v + shift for v in values]
+    table = CountTable(tuple(zip(qs, values)))
+    bound = data.draw(st.integers(0, 7))
+    try:
+        want = _fit_minimal_ref(table, bound)
+    except ClassNotPolynomialError as e:
+        with pytest.raises(ClassNotPolynomialError) as got:
+            _fit_minimal(table, bound)
+        assert str(got.value) == str(e)
+        assert got.value.table is table
+        return
+    assert _fit_minimal(table, bound) == want
+
+
+# -- reach: three-variable germs and A1 past m = 6 ---------------------------
+
+def _brieskorn_pham(exponents: list[int], m: int) -> int:
+    # Lambda(M^m) = 1 + (-1)^(n-1) prod_i (a_i [a_i | m] - 1)
+    n = len(exponents)
+    return 1 + (-1) ** (n - 1) * prod(a * (m % a == 0) - 1 for a in exponents)
+
+
+@pytest.mark.parametrize("text, exponents", [
+    ("x1^2 + x2^2 + x3^2", [2, 2, 2]),
+    ("x1^2 + x2^2 + x3^3", [2, 2, 3]),
+])
+def test_three_variable_brieskorn_pham(text, exponents):
+    f = parse_poly(text)
+    got = [lefschetz_via_jets(f, [0, 0, 0], m) for m in range(1, 6)]
+    assert got == [_brieskorn_pham(exponents, m) for m in range(1, 6)]
+
+
+def test_a1_past_order_six():
+    expected = json.loads((FIXTURES / "a1" / "expected.json").read_text())
+    f = parse_poly(expected["f"])
+    for m in (7, 8):
+        assert lefschetz_via_jets(f, expected["at"], m) == \
+            expected["lefschetz"][m - 1]
