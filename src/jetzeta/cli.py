@@ -355,7 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="single m or LO..HI")
         p.add_argument("--primes", type=int, default=None,
                        help="prime budget per interpolation")
-        p.add_argument("--node-budget", type=int, default=_DEFAULT_NODE_BUDGET)
+        p.add_argument("--node-budget", type=int, default=_DEFAULT_NODE_BUDGET,
+                       help="recursion work cap per point count; exhausting "
+                            "it exits with code 4")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads: over jet orders m in lefschetz, "
                             "over primes in count; zeta ignores it")

@@ -42,6 +42,21 @@ its roots off the same loop.  So these rules hold at most _CHUNK points at
 a time at any field size; the line sweep still evaluates its q + 1
 directions at once.
 
+_enumerate has one power-map rule.  When the grid is one variable w, the
+field keeps discrete-log tables (ExtField), and d, the gcd of w's
+exponents over the equations and the weight's coefficients, is at least 2,
+the weight W depends on w only through w^d.  F_q^* is cyclic, so w -> w^d
+maps it g-to-1 onto its subgroup H of index g = gcd(d, q - 1), and
+
+    sum over w in F_q of W(w) = W(0) + g * sum over u in H of W'(u),
+
+with W' the weight with every w^k read as u^(k/d) (FP.deflate).  H is
+every g-th entry of the EXP table, which _grid_zeros scans in chunks in
+place of F_q: (q - 1)/g points, with lower powers.  The trace route's
+v^2 = w^3 + c leaves take it through the chi2-pair rule.  Prime fields
+keep the plain scan (they have no EXP table), and so does _uni_roots,
+which needs the roots themselves, not a weighted sum.
+
 The recursion asks each polynomial the same questions many times, so FP
 keeps per-object caches, each filled on first use: one pass over the
 monomials gives the degree in every variable (hence vars_used and deg_in)
@@ -58,7 +73,8 @@ and the quadratic root count shared by the chi2-pair rule and the private
 grid keeps constant coefficients as field scalars, so the trace route's
 v^2 = g(w) leaves need no vector addition at all.  With a constant A and
 no linear term the quadratic character factors, chi2(-4A*C) =
-chi2(-4A)*chi2(C), so C is not scaled either.
+chi2(-4A)*chi2(C), so C is not scaled either.  A first power v^1 reads
+v's coordinates as they are, with no pow_v.
 """
 
 from __future__ import annotations
@@ -70,7 +86,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..errors import ResourceLimitError
-from .gf import make_field
+from .gf import ExtField, make_field
 from .system import JetConstraintSystem
 
 GRID_CAP = 2_000_000
@@ -298,6 +314,12 @@ class FP:
                 c[e] = x
         return FP(F, self.n, c)
 
+    def deflate(self, v: int, d: int) -> "FP":
+        """The polynomial with each v^k read as v^(k/d); d must divide every
+        exponent of v."""
+        return FP(self.F, self.n, {e[:v] + (e[v] // d,) + e[v + 1:]: x
+                                   for e, x in self.c.items()})
+
     def cleared_substitute(self, v: int, r: "FP", cpoly: "FP") -> "FP":
         """c^D * self with v replaced by -r/c, D = deg_v(self); polynomial."""
         F, n = self.F, self.n
@@ -332,7 +354,7 @@ class FP:
             term: np.ndarray | None = None
             for v, k in enumerate(e):
                 if k:
-                    f = F.pow_v(coords[v], k)
+                    f = coords[v] if k == 1 else F.pow_v(coords[v], k)
                     term = f if term is None else F.mul_v(term, f)
             if term is None:
                 const = c
@@ -342,7 +364,10 @@ class FP:
             acc = term if acc is None else F.add_v(acc, term)
         if acc is None:
             return np.full(npoints, const, dtype=np.int64)
-        return F.addc_v(acc, const) if const else acc
+        if const:
+            return F.addc_v(acc, const)
+        # a lone bare variable would hand back its own coordinate array
+        return acc.copy() if any(acc is x for x in coords.values()) else acc
 
 
 def _fold_system(sys: JetConstraintSystem, F) -> list[FP]:
@@ -463,15 +488,20 @@ def _sweep_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
     return count + (d1 > 0)
 
 
-def _grid_zeros(eqs: list[FP], vs: list[int], F):
+def _grid_zeros(eqs: list[FP], vs: list[int], F,
+                values: np.ndarray | None = None):
     """The points of the grid F_q^vs where every equation vanishes, one
     chunk of at most _CHUNK grid points at a time, as (coords, n): the n
-    points' values of each variable in vs."""
+    points' values of each variable in vs.  Given values, vs is a single
+    variable and the grid is those field elements instead of F_q."""
     q = F.q
-    total = q ** len(vs)
+    total = q ** len(vs) if values is None else len(values)
     for start in range(0, total, _CHUNK):
         width = min(_CHUNK, total - start)
-        rem = np.arange(start, start + width, dtype=np.int64)
+        if values is None:
+            rem = np.arange(start, start + width, dtype=np.int64)
+        else:
+            rem = values[start:start + width].astype(np.int64)
         coords: dict[int, np.ndarray] = {}
         for v in vs[:-1]:
             coords[v] = rem % q
@@ -495,11 +525,33 @@ def _enumerate(eqs: list[FP], vs: list[int], F,
                by: Mapping[int, FP] | None = None) -> int:
     """Sum of a per-point weight over the zeros of eqs in F_q^vs: 1, or,
     given by = {d: coefficient of v^d} of an equation quadratic in a
-    variable v outside vs and eqs, its number of v-roots at the point."""
-    if by is None:
-        return sum(n for _, n in _grid_zeros(eqs, vs, F))
-    return sum(_quad_root_count(by, coords, n, F)
-               for coords, n in _grid_zeros(eqs, vs, F))
+    variable v outside vs and eqs, its number of v-roots at the point.
+
+    Over a table field with one grid variable w that enters only through
+    w^d, d >= 2, the power-map rule of the module docstring scans w = 0
+    and the d-th powers instead, each power standing for g = gcd(d, q - 1)
+    points.  Both scans read the deflated polynomials: at 0 they agree
+    with the originals."""
+    scans: list[tuple[int, np.ndarray | None]] = [(1, None)]
+    if len(vs) == 1 and isinstance(F, ExtField):
+        (w,) = vs
+        polys = eqs + list(by.values()) if by else eqs
+        d = gcd(*(e[w] for p in polys for e in p.c))
+        if d >= 2:
+            g = gcd(d, F.q - 1)
+            eqs = [p.deflate(w, d) for p in eqs]
+            if by:
+                by = {k: p.deflate(w, d) for k, p in by.items()}
+            scans = [(1, np.zeros(1, dtype=np.int64)), (g, F.EXP[::g])]
+    total = 0
+    for mult, values in scans:
+        zeros = _grid_zeros(eqs, vs, F, values)
+        if by is None:
+            total += mult * sum(n for _, n in zeros)
+        else:
+            total += mult * sum(_quad_root_count(by, coords, n, F)
+                                for coords, n in zeros)
+    return total
 
 
 def _quad_private_grid(eqs: list[FP], i: int, v: int, vs: list[int],

@@ -19,7 +19,13 @@ benchmark, while the integer planes stay on one thread.
 addc_v adds one field element to a vector without broadcasting it first.
 The prime subfield of an extension field is its elements below p, the
 constant polynomials, so adding one of them touches only digit 0 of each
-element; other constants fall back to add_v.
+element; other constants fall back to add_v.  The low digit is taken as
+a - a // p * p: numpy divides by a scalar fast and takes a remainder slowly.
+
+ExtField.pow_v and chi2_v are mask-free: one LOG gather over the whole
+vector, zeros included (LOG[0] = -1, which pow_v reduces to an exponent in
+range like any other), then the entries where a == 0 are multiplied to
+zero, with no boolean gather and scatter.
 """
 
 from __future__ import annotations
@@ -130,14 +136,21 @@ class PrimeField:
         return (a * c) % self.p
 
     def pow_v(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e by squaring, started at the lowest set bit of e and with no
+        squaring past the highest, so e = 2 is one a * a % p."""
         if e == 0:
             return np.ones_like(a)
-        out = np.ones_like(a)
-        base = a % self.p
+        p = self.p
+        base = a
+        while not e & 1:
+            base = base * base % p
+            e >>= 1
+        out = a % p if base is a else base
+        e >>= 1
         while e:
+            base = base * base % p
             if e & 1:
-                out = (out * base) % self.p
-            base = (base * base) % self.p
+                out = out * base % p
             e >>= 1
         return out
 
@@ -302,7 +315,9 @@ class ExtField:
                 seg += block[i, :width]
             g_t0 = _poly_mul_mod(g_t0, g_block, self.modulus, p)
         self.EXP = exp
-        log = np.full(q, -1, dtype=np.int32)
+        # the scatter writes every slot but LOG[0]
+        log = np.empty(q, dtype=np.int32)
+        log[0] = -1
         log[exp] = np.arange(q - 1, dtype=np.int32)
         self.LOG = log
         assert log[1] == 0
@@ -402,8 +417,9 @@ class ExtField:
         p = self.p
         if c >= p:
             return self.add_v(a, np.full_like(a, c))
-        low = a % p
-        return a - low + (low + c) % p
+        low = a - a // p * p
+        low_c = low + c
+        return a - low + (low_c - low_c // p * p)
 
     def mul_v(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros_like(a)
@@ -432,20 +448,23 @@ class ExtField:
     def pow_v(self, a: np.ndarray, e: int) -> np.ndarray:
         if e == 0:
             return np.ones_like(a)
-        out = np.zeros_like(a)
-        mask = a != 0
-        la = self.LOG[a[mask]].astype(np.int64)
-        out[mask] = self.EXP[(la * (e % (self.q - 1))) % (self.q - 1)]
+        n = self.q - 1
+        # a zero reads LOG[0] = -1, reduced into range here and zeroed below
+        la = self.LOG[a].astype(np.int64)
+        la *= e % n
+        la -= la // n * n
+        out = self.EXP[la].astype(a.dtype)
+        out *= a != 0
         return out
 
     def chi2_v(self, a: np.ndarray) -> np.ndarray:
-        out = np.zeros(a.shape, dtype=np.int64)
-        mask = a != 0
+        nonzero = a != 0
         if self.p == 2:
-            out[mask] = 1
-            return out
-        parity = self.LOG[a[mask]] % 2
-        out[mask] = 1 - 2 * parity.astype(np.int64)
+            return nonzero.astype(np.int64)
+        out = (self.LOG[a] & 1).astype(np.int64)
+        out *= -2
+        out += 1
+        out *= nonzero
         return out
 
     def all_elements(self) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -165,6 +167,7 @@ def test_large_prime_beyond_grid_cap():
 @pytest.mark.parametrize("q, count", [
     (5 ** 8, 540366362766775409909314475953578948974609375),
     (7 ** 7, 211718130979806089547798376418108587985691569957),
+    (7 ** 8, 1218906943201756716108707262317520324975461191310251967),
 ])
 def test_cusp_trace_towers_pinned(q, count):
     # the trace route reads chi of the cusp at m=6 off these two towers
@@ -588,3 +591,91 @@ def test_quad_root_count_matches_pointwise_roots(data):
         want += sum(1 for x in range(q)
                     if F.add(F.add(F.mul(a, F.mul(x, x)), F.mul(b, x)), c) == 0)
     assert _quad_root_count(by, coords, npoints, F) == want
+
+
+# -- the power-map rule: one-variable scans over the subgroup of d-th powers --
+
+@contextlib.contextmanager
+def _recorded_scans():
+    """The values array of every _grid_zeros scan, None for all of F_q."""
+    scans: list = []
+    grid_zeros = count._grid_zeros
+
+    def spy(eqs, vs, F, values=None):
+        scans.append(None if values is None else sorted(values.tolist()))
+        return grid_zeros(eqs, vs, F, values)
+
+    count._grid_zeros = spy
+    try:
+        yield scans
+    finally:
+        count._grid_zeros = grid_zeros
+
+
+def _assert_subgroup_scans(scans: list, F, d: int) -> None:
+    # g = gcd(d, q - 1): w = 0 once, then the (q - 1)/g d-th powers, each
+    # standing for g points
+    g = gcd(d, F.q - 1)
+    powers = sorted({F.pow(x, d) for x in range(1, F.q)})
+    assert len(powers) == (F.q - 1) // g
+    assert scans == [[0], powers], (F.q, d)
+
+
+@pytest.mark.parametrize("q, g, want", [
+    (25, 3, 213623046875),
+    (49, 3, 31876484423903),
+    (125, 1, 59604644775390625),
+])
+def test_cusp_leaf_scans_cubes(q, g, want):
+    # the cusp at m=6 ends in one chi2-pair leaf v^2 = w^3 + c; the counts
+    # are those of the plain scan over F_q
+    assert gcd(3, q - 1) == g
+    with _recorded_scans() as scans:
+        got = count_points(_sys("x1^2 + x2^3", [0, 0], 6), q)
+    _assert_subgroup_scans(scans, make_field(q), 3)
+    assert got == want
+
+
+@st.composite
+def _in_power(draw, w: int, d: int, v_power: int = 0) -> dict:
+    # integer coefficients on v^v_power * w^(d*j), j in 0..3, over (v, w)
+    js = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    return {_monomial(2, {w: d * j, 0: v_power}): draw(coeff_st) for j in js}
+
+
+@seed(20261027)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_power_map_rule_matches_naive(data):
+    # w = x1 enters every equation only through w^d; v = x0 is free (weight
+    # 1) or private and quadratic in the first equation (root-count weight)
+    q = data.draw(st.sampled_from([4, 8, 9, 16, 25, 27, 49, 125]))
+    d = data.draw(st.sampled_from([2, 3, 4, 6]))
+    quadratic = q % 2 == 1 and data.draw(st.booleans())
+    w = 1
+    polys = []
+    if quadratic:
+        quad = data.draw(_in_power(w, d, 2))
+        for k in data.draw(st.lists(st.sampled_from([1, 0]), unique=True)):
+            quad.update(data.draw(_in_power(w, d, k)))
+        polys.append(MultiPoly(2, quad))
+    for _ in range(data.draw(st.integers(0 if quadratic else 1, 2))):
+        polys.append(MultiPoly(2, data.draw(_in_power(w, d))))
+    sys = _system(2, polys)
+    F = make_field(q)
+    eqs = _fold_system(sys, F)
+    by = eqs.pop(0).coeffs_by_power(0) if quadratic else None
+    # coefficients may vanish mod p, so the exponents' gcd can exceed d
+    d_eff = 0
+    for p in eqs + list((by or {}).values()):
+        for e in p.c:
+            d_eff = gcd(d_eff, e[w])
+    with _recorded_scans() as scans:
+        got = count._enumerate(eqs, [w], F, by)
+    want = naive_count(sys, q)
+    assert got * (1 if quadratic else q) == want
+    if d_eff >= 2:
+        _assert_subgroup_scans(scans, F, d_eff)
+    else:
+        assert scans == [None]
+    assert count_points(sys, q) == want

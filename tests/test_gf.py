@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.jets import gf
 from jetzeta.jets.gf import ExtField, PrimeField, factorize, is_prime, make_field
@@ -60,6 +61,18 @@ def test_prime_field_vector_ops():
     assert np.array_equal(F.pow_v(a, 5), np.array([pow(int(x), 5, 11) for x in a]))
     assert np.array_equal(F.chi2_v(a), np.array([F.chi2(int(x)) for x in a]))
     assert np.array_equal(F.scale_v(a, 4), (a * 4) % 11)
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 2017])
+def test_prime_field_pow_v_matches_pow(p):
+    F = PrimeField(p)
+    a = np.unique(np.concatenate([F.all_elements()[:50], [p - 2, p - 1]]))
+    snapshot = a.copy()
+    for e in range(21):
+        got = F.pow_v(a, e)
+        assert got is not a
+        assert got.tolist() == [pow(int(x), e, p) for x in a], e
+    assert np.array_equal(a, snapshot)
 
 
 def _digits(v: int, p: int, k: int) -> list[int]:
@@ -211,6 +224,28 @@ def test_ext_field_vector_ops():
                           np.array([F.chi2(int(x)) for x in a]))
     assert np.array_equal(F.scale_v(a, 2),
                           np.array([F.mul(int(x), F.from_int(2)) for x in a]))
+
+
+@seed(20261026)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ext_kernels_match_scalar_ops(data):
+    # pow_v and chi2_v gather LOG at zeros too (LOG[0] = -1) and zero those
+    # entries after; addc_v reads the low digit by floor division
+    q = data.draw(st.sampled_from([4, 8, 9, 25, 27, 49, 3 ** 7]))
+    F = make_field(q)
+    assert F.LOG[0] == -1
+    size = data.draw(st.integers(1, 40))
+    a = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=size,
+                                    max_size=size)) + [0], dtype=np.int64)
+    snapshot = a.copy()
+    e = data.draw(st.one_of(st.integers(0, 12), st.integers(0, 3 * q)))
+    c = data.draw(st.integers(0, q - 1))
+    points = a.tolist()
+    assert F.pow_v(a, e).tolist() == [F.pow(x, e) for x in points]
+    assert F.chi2_v(a).tolist() == [F.chi2(x) for x in points]
+    assert F.addc_v(a, c).tolist() == [F.add(x, c) for x in points]
+    assert np.array_equal(a, snapshot)
 
 
 def test_ext_field_embeds_prime_subfield():
