@@ -25,6 +25,9 @@ runs through one recurrence pair for the factor 1 - L^a T^b: dividing is
 c_m += L^a * c_(m-b) in ascending m, multiplying is c_m -= L^a * c_(m-b) in
 descending m.  Expansion and exact division use the first; fitting and the
 Hadamard numerator clear denominators with the second, through _cleared.
+Both run on rows of plain {exponent: coefficient} maps changed in place,
+and each row becomes a LaurentPoly once, at the end; so does the sparse
+product by factors that brings sums to a common denominator.
 """
 
 from __future__ import annotations
@@ -75,33 +78,48 @@ def _merged(items: Iterable[tuple[int, LaurentPoly]]) -> dict[int, LaurentPoly]:
     return out
 
 
-def _num_mul_factor(num: dict[int, LaurentPoly], a: int, b: int) -> dict[int, LaurentPoly]:
-    """Multiply a T-polynomial (dict t-exp -> LaurentPoly) by (1 - L^a T^b)."""
-    return _merged(itertools.chain(
-        num.items(), ((t + b, -c.shifted(a)) for t, c in num.items())))
-
-
 def _num_mul_factors(num: dict[int, LaurentPoly],
                      factors: Iterable[Factor]) -> dict[int, LaurentPoly]:
+    """Multiply a T-polynomial (dict t-exp -> LaurentPoly) by
+    prod (1 - L^a T^b)."""
+    factors = list(factors)
+    if not factors:
+        return num
+    rows = {t: c.to_dict() for t, c in num.items()}
     for a, b in factors:
-        num = _num_mul_factor(num, a, b)
-    return num
+        # descending t: each row is read before it receives its own update
+        for t in sorted(rows, reverse=True):
+            if rows[t]:
+                _add_shifted(rows.setdefault(t + b, {}), rows[t], a, -1)
+    return {t: LaurentPoly._raw(r) for t, r in rows.items() if r}
 
 
-def _divide_by_factor(coeffs: list[LaurentPoly], a: int, b: int) -> None:
-    """coeffs <- coeffs / (1 - L^a T^b) on a T-prefix, in place."""
-    for m in range(b, len(coeffs)):
-        prev = coeffs[m - b]
-        if not prev.is_zero():
-            coeffs[m] = coeffs[m] + prev.shifted(a)
+def _add_shifted(row: dict[int, int], src: dict[int, int], a: int,
+                 sign: int) -> None:
+    """row += sign * L^a * src on coefficient maps, dropping zeros."""
+    for e, v in src.items():
+        e += a
+        w = row.get(e, 0) + sign * v
+        if w:
+            row[e] = w
+        else:
+            del row[e]
 
 
-def _multiply_by_factor(coeffs: list[LaurentPoly], a: int, b: int) -> None:
-    """coeffs <- coeffs * (1 - L^a T^b) on a T-prefix, in place."""
-    for m in range(len(coeffs) - 1, b - 1, -1):
-        prev = coeffs[m - b]
-        if not prev.is_zero():
-            coeffs[m] = coeffs[m] - prev.shifted(a)
+def _divide_by_factor(rows: list[dict[int, int]], a: int, b: int) -> None:
+    """rows <- rows / (1 - L^a T^b) on a T-prefix of coefficient maps, in
+    place."""
+    for m in range(b, len(rows)):
+        if rows[m - b]:
+            _add_shifted(rows[m], rows[m - b], a, 1)
+
+
+def _multiply_by_factor(rows: list[dict[int, int]], a: int, b: int) -> None:
+    """rows <- rows * (1 - L^a T^b) on a T-prefix of coefficient maps, in
+    place."""
+    for m in range(len(rows) - 1, b - 1, -1):
+        if rows[m - b]:
+            _add_shifted(rows[m], rows[m - b], a, -1)
 
 
 class DaggerSeries:
@@ -203,19 +221,15 @@ class DaggerSeries:
         if order < 0:
             raise ValueError("expansion order must be >= 0")
         lo = min(min(self._num, default=0), 0)
-        width = order - lo + 1
-        zero = LaurentPoly.zero()
-        coeffs = [zero] * width
+        rows: list[dict[int, int]] = [{} for _ in range(order - lo + 1)]
         for t, c in self._num.items():
             if t <= order:
-                coeffs[t - lo] = coeffs[t - lo] + c
+                rows[t - lo] = c.to_dict()
         for a, b in self._den:
-            _divide_by_factor(coeffs, a, b)
-        if lo < 0:
-            if any(not coeffs[i].is_zero() for i in range(-lo)):
-                raise ValueError("series has nonzero coefficients at negative T-powers")
-            coeffs = coeffs[-lo:]
-        return coeffs
+            _divide_by_factor(rows, a, b)
+        if any(rows[:-lo]):
+            raise ValueError("series has nonzero coefficients at negative T-powers")
+        return [LaurentPoly._raw(r) for r in rows[-lo:]]
 
     def degree(self):
         """deg_T(numerator) - sum of denominator b's; -inf for the zero series."""
@@ -307,24 +321,23 @@ def _divide_num_by_factor(num: dict[int, LaurentPoly], a: int, b: int):
     lo, hi = min(num), max(num)
     if hi - lo < b:
         return None
-    zero = LaurentPoly.zero()
-    s = [num.get(m, zero) for m in range(lo, hi + 1)]
-    _divide_by_factor(s, a, b)
-    if any(not c.is_zero() for c in s[hi - lo - b + 1:]):
+    rows = [num[m].to_dict() if m in num else {} for m in range(lo, hi + 1)]
+    _divide_by_factor(rows, a, b)
+    if any(rows[hi - lo - b + 1:]):
         return None
-    return {lo + i: c for i, c in enumerate(s) if not c.is_zero()}
+    return {lo + i: LaurentPoly._raw(r) for i, r in enumerate(rows) if r}
 
 
 def _cleared(prefix: Sequence[LaurentPoly], factors: Iterable[Factor],
              top: int) -> dict[int, LaurentPoly] | None:
     """Numerator of prefix * prod (1 - L^a T^b) when every cleared
     coefficient above T^top vanishes, else None."""
-    out = list(prefix)
+    rows = [c.to_dict() for c in prefix]
     for a, b in factors:
-        _multiply_by_factor(out, a, b)
-    if any(not c.is_zero() for c in out[top + 1:]):
+        _multiply_by_factor(rows, a, b)
+    if any(rows[top + 1:]):
         return None
-    return {m: c for m, c in enumerate(out) if not c.is_zero()}
+    return {m: LaurentPoly._raw(r) for m, r in enumerate(rows) if r}
 
 
 # -- module-level operation names ------------------------------------------

@@ -47,6 +47,15 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _raw(cls, c: dict[int, int]) -> "LaurentPoly":
+        """Wrap c, which holds no zero coefficient, without copying it; the
+        caller hands c over and never changes it again."""
+        out = cls.__new__(cls)
+        out._c = c
+        out._hash = None
+        return out
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -73,6 +82,10 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._c.items()))
+
+    def to_dict(self) -> dict[int, int]:
+        """A new {exponent: coefficient} map, free for the caller to change."""
+        return dict(self._c)
 
     @property
     def min_exp(self) -> int:
@@ -102,10 +115,7 @@ class LaurentPoly:
                 c[e] = w
             elif e in c:
                 del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return LaurentPoly._raw(c)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -113,19 +123,13 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._raw({e: -v for e, v in self._c.items()})
 
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {e: v * other for e, v in self._c.items()}
-            out._hash = None
-            return out
+            return LaurentPoly._raw({e: v * other for e, v in self._c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._c, other._c
@@ -141,10 +145,7 @@ class LaurentPoly:
                         c[e] = w
                     elif e in c:
                         del c[e]
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = c
-            out._hash = None
-            return out
+            return LaurentPoly._raw(c)
         return self._kronecker_mul(other)
 
     __rmul__ = __mul__
@@ -178,10 +179,7 @@ class LaurentPoly:
                 c[i] = d
             prod = (prod - d) >> width
             i += 1
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return LaurentPoly._raw(c)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
@@ -199,10 +197,7 @@ class LaurentPoly:
         """Multiply by L**k."""
         if k == 0:
             return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: v for e, v in self._c.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._raw({e + k: v for e, v in self._c.items()})
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor; raises ValueError when it does not

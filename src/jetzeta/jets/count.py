@@ -61,11 +61,23 @@ The recursion asks each polynomial the same questions many times, so FP
 keeps per-object caches, each filled on first use: one pass over the
 monomials gives the degree in every variable (hence vars_used and deg_in)
 and the bare-linear variables (whose only monomial is v itself, what the
-constant-coefficient linear rule looks for); coeffs_by_power is memoised
-per variable; and the memo key of _solve is built once.  A polynomial is
-never changed after construction, which keeps these caches valid.
-Substituting a constant, the common case when roots are pinned, works
-monomial by monomial instead of by Horner's rule.
+constant-coefficient linear rule looks for), and coeffs_by_power is
+memoised per variable.  A polynomial is never changed after construction,
+which keeps these caches valid.  Substituting a constant, the common case
+when roots are pinned, works monomial by monomial instead of by Horner's
+rule.
+
+The recursion also meets the same subsystem many times, often under other
+variable names: the level systems of a quasi-homogeneous f hold copies of
+one subsystem with every level raised by one.  So _solve normalises first
+(zero equations dropped, 0 returned on a nonzero constant), factors out
+q^(|live| - |used|) for the live variables no equation uses, and memoises
+the count over exactly the used ones under a key that forgets their names:
+the set of equations with every exponent tuple cut down to the sorted used
+columns.  A count does not change when variables are renamed, and every
+rule walks variables in sorted order, so a copy under an order-preserving
+relabelling hits the entry of the first one, which would have taken the
+same path through the rules.
 
 Vector evaluation never materialises a constant: evaluate_vec starts from
 its first non-constant term and adds the constant term last with addc_v,
@@ -98,7 +110,8 @@ class _Budget:
 
     def __init__(self, n: int):
         self.left = n
-        # inclusion-exclusion branches revisit identical subsystems
+        # count over exactly the used variables, keyed on the system up to
+        # an order-preserving renaming of them (see _solve)
         self.memo: dict = {}
 
     def spend(self, n: int) -> None:
@@ -114,7 +127,7 @@ class FP:
     module docstring) stay valid.
     """
 
-    __slots__ = ("F", "n", "c", "_deg", "_vars", "_bare", "_by", "_key")
+    __slots__ = ("F", "n", "c", "_deg", "_vars", "_bare", "_by")
 
     def __init__(self, F, n: int, c: dict):
         self.F = F
@@ -124,7 +137,6 @@ class FP:
         self._vars: frozenset | None = None
         self._bare: tuple[int, ...] | None = None
         self._by: dict[int, dict[int, FP]] | None = None
-        self._key: frozenset | None = None
 
     @classmethod
     def from_int_poly(cls, F, poly) -> "FP":
@@ -186,11 +198,6 @@ class FP:
         if self._bare is None:
             self._profile()
         return self._bare
-
-    def memo_key(self) -> frozenset:
-        if self._key is None:
-            self._key = frozenset(self.c.items())
-        return self._key
 
     def coeffs_by_power(self, v: int) -> dict[int, "FP"]:
         """{d: coefficient of v^d}; shared between callers, not to be
@@ -601,37 +608,39 @@ def _pin(eqs: list[FP], v: int, rep: FP) -> list[FP]:
 
 
 def _solve(eqs: Iterable[FP], live: frozenset, F, budget: _Budget) -> int:
-    eqs = list(eqs)
-    key = (frozenset(e.memo_key() for e in eqs), live)
-    hit = budget.memo.get(key)
-    if hit is not None:
-        return hit
-    out = _solve_uncached(eqs, live, F, budget)
-    budget.memo[key] = out
-    return out
-
-
-def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
-    budget.spend(10)
-    q = F.q
+    """Number of points of eqs = 0 in the variables live, which hold every
+    variable the equations use."""
     work: list[FP] = []
-    for e in eqs:
-        cv = e.const_value()
-        if cv is None:
-            work.append(e)
-        elif cv != 0:
-            return 0
     used: set = set()
-    for e in work:
+    for e in eqs:
+        if not e.c:
+            continue
+        if e.const_value() is not None:
+            return 0
+        work.append(e)
         used |= e.vars_used()
-    factor = q ** (len(live) - len(used))
+    factor = F.q ** (len(live) - len(used))
     if not work:
         return factor
+    # the count over used does not change when the variables are renamed, so
+    # the key reads each exponent tuple on the sorted used columns only
+    pick = operator.itemgetter(*sorted(used))
+    key = frozenset(frozenset(zip(map(pick, e.c), e.c.values())) for e in work)
+    hit = budget.memo.get(key)
+    if hit is None:
+        hit = budget.memo[key] = _solve_uncached(work, used, F, budget)
+    return factor * hit
+
+
+def _solve_uncached(work: list[FP], used: set, F, budget: _Budget) -> int:
+    """Points of the nonconstant equations work in exactly the variables
+    used."""
+    budget.spend(10)
+    q = F.q
     live = frozenset(used)
 
-    def recurse(new_eqs: list[FP], drop: int | None) -> int:
-        sub_live = live - {drop} if drop is not None else live
-        return _solve(new_eqs, sub_live, F, budget)
+    def recurse(new_eqs: list[FP], drop: int) -> int:
+        return _solve(new_eqs, live - {drop}, F, budget)
 
     # univariate equations: substitute roots, or just count if the
     # variable appears nowhere else
@@ -647,11 +656,11 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
         if not roots:
             return 0
         if not used_elsewhere:
-            return factor * len(roots) * recurse(rest, v)
+            return len(roots) * recurse(rest, v)
         total = 0
         for r in roots:
             total += recurse(_pin(rest, v, FP.const(F, e.n, r)), v)
-        return factor * total
+        return total
 
     # linear variable with a constant coefficient: exact elimination
     for i, e in enumerate(work):
@@ -662,7 +671,7 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
         by = e.coeffs_by_power(v)
         r = by.get(0, FP(F, e.n, {}))
         rep = r.scale(F.neg(F.inv(by[1].const_value())))
-        return factor * recurse(_pin(work[:i] + work[i + 1:], v, rep), v)
+        return recurse(_pin(work[:i] + work[i + 1:], v, rep), v)
 
     # quadratic variable with constant leading coefficient and a
     # discriminant of the shape (constant) * (monomial)^2
@@ -683,7 +692,7 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
                 center = beta.scale(F.neg(inv2a))
                 rest = [o for j, o in enumerate(work) if j != i]
                 if disc.is_zero():
-                    return factor * recurse(_pin(rest, v, center), v)
+                    return recurse(_pin(rest, v, center), v)
                 st = disc.single_term()
                 if st is None:
                     continue
@@ -701,9 +710,9 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
                         total += recurse(_pin(rest, v, root), v)
                     root = center.add(M.scale(F.mul(s0, inv2a)))
                     total -= recurse(_pin(rest, v, root) + [M], v)
-                    return factor * total
+                    return total
                 # non-square constant: roots exist only where M vanishes
-                return factor * recurse(_pin(rest, v, center) + [M], v)
+                return recurse(_pin(rest, v, center) + [M], v)
 
     # block of private linear variables: e = sum c_v*v + r has q^(|V|-1)
     # solutions in V where some c_v is nonzero, and q^|V| or none where all
@@ -721,7 +730,7 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
         total = q ** (k - 1) * (free - pinned)
         if pinned:
             total += q ** k * _solve(rest + cs + [r], sub_live, F, budget)
-        return factor * total
+        return total
 
     # linear variable with polynomial coefficient: split on the
     # coefficient vanishing and recombine with signs
@@ -738,7 +747,7 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
             total = recurse(sub, v)
             total -= recurse(sub + [c], v)
             total += _solve(rest + [c, r], live, F, budget)
-            return factor * total
+            return total
 
     # two-variable single equation, quadratic in one of them
     if len(used) == 2 and len(work) == 1 and q % 2:
@@ -746,7 +755,7 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
         e = work[0]
         for v, w in ((v1, v2), (v2, v1)):
             if e.deg_in(v) <= 2:
-                return factor * _chi2_pair_count(e, v, w, budget)
+                return _chi2_pair_count(e, v, w, budget)
 
     # binary form: its zeros are the lines w = t*v for the roots t of
     # e(1, t), and v = 0 when the w^d coefficient vanishes; any two lines
@@ -778,12 +787,12 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
         if lines != 1:
             origin = _pin(_pin(rest, v, zero), w, zero)
             total -= (lines - 1) * _solve(origin, live - {v, w}, F, budget)
-        return factor * total
+        return total
 
     # one equation in two variables with one or two total degrees: sweep
     # the q + 1 lines through the origin
     if len(used) == 2 and len(work) == 1 and len(work[0].by_total_degree()) <= 2:
-        return factor * _sweep_count(work[0], *sorted(used), budget)
+        return _sweep_count(work[0], *sorted(used), budget)
 
     # variable quadratic in one equation and absent from the rest:
     # eliminate it by pointwise root counts over a grid of the others
@@ -797,13 +806,13 @@ def _solve_uncached(eqs: list[FP], live: frozenset, F, budget: _Budget) -> int:
                     continue
                 rest_vars = sorted(used - {v})
                 if q ** len(rest_vars) <= GRID_CAP:
-                    return factor * _quad_private_grid(
+                    return _quad_private_grid(
                         work, i, v, rest_vars, F, budget)
 
     if q ** len(used) <= GRID_CAP:
         nterms = sum(len(e.c) for e in work) + 1
         budget.spend(q ** len(used) * nterms // 16 + 1)
-        return factor * _enumerate(work, sorted(used), F)
+        return _enumerate(work, sorted(used), F)
 
     raise ResourceLimitError(
         f"no applicable reduction for {len(work)} equations in "

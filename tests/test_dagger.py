@@ -14,7 +14,7 @@ from jetzeta.algebra import (
     LaurentPoly, DaggerSeries,
     ds_limit, ds_hadamard, ds_fit,
 )
-from jetzeta.algebra.dagger import _divide_num_by_factor, _num_mul_factor
+from jetzeta.algebra.dagger import _divide_num_by_factor, _num_mul_factors
 from jetzeta.errors import FitFailure, LimitUndefined
 
 L = LaurentPoly.L
@@ -184,7 +184,7 @@ def test_expand_matches_oracle(num, den, order):
 @given(series_st, factor_st)
 @settings(max_examples=40, deadline=None)
 def test_degree_and_eq_invariant_under_common_factor(h, f):
-    inflated = DaggerSeries(_num_mul_factor(h.num, *f), list(h.den) + [f])
+    inflated = DaggerSeries(_num_mul_factors(h.num, [f]), list(h.den) + [f])
     assert inflated == h
     if not h.is_zero():
         assert inflated.degree() == h.degree()
@@ -263,10 +263,7 @@ def restart_peeled(h: DaggerSeries) -> DaggerSeries:
 @settings(max_examples=60, deadline=None)
 def test_peeled_matches_restart_loop(h, extra):
     # inflate by common factors so that some of them cancel
-    num = h.num
-    for f in extra:
-        num = _num_mul_factor(num, *f)
-    inflated = DaggerSeries(num, list(h.den) + extra)
+    inflated = DaggerSeries(_num_mul_factors(h.num, extra), list(h.den) + extra)
     assert inflated.peeled().to_json() == restart_peeled(inflated).to_json()
 
 
@@ -275,7 +272,7 @@ def test_peeled_matches_restart_loop(h, extra):
 @settings(max_examples=60, deadline=None)
 def test_divide_num_by_factor_inverts_multiplication(num, f, t):
     n = {e: LaurentPoly(c) for e, c in num.items()}
-    multiple = _num_mul_factor(n, *f)
+    multiple = _num_mul_factors(n, [f])
     assert _divide_num_by_factor(multiple, *f) == n
     # a nonzero monomial has no root off T = 0, so no factor divides it
     perturbed = DaggerSeries([*multiple.items(), (t, one)]).num
