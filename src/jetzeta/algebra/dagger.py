@@ -199,11 +199,6 @@ class DaggerSeries:
                              for t2, c2 in other._num.items()),
                             self._den + other._den)
 
-    def scale(self, c: LaurentPoly | int) -> "DaggerSeries":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        return DaggerSeries({t: v * c for t, v in self._num.items()}, self._den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DaggerSeries):
             return NotImplemented

@@ -77,21 +77,12 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def coeff(self, exp: int) -> int:
-        return self._c.get(exp, 0)
-
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._c.items()))
 
     def to_dict(self) -> dict[int, int]:
         """A new {exponent: coefficient} map, free for the caller to change."""
         return dict(self._c)
-
-    @property
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
 
     def __bool__(self) -> bool:
         return bool(self._c)

@@ -13,20 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .algebra.dagger import DaggerSeries, ds_fit, ds_limit
 from .algebra.laurent import LaurentPoly
-from .errors import (ClassNotPolynomialError, FitFailure, JetzetaError,
-                     LimitMismatchError, MalformedDataError, ParseError,
-                     ResourceLimitError)
+from .errors import (FitFailure, JetzetaError, LimitMismatchError,
+                     MalformedDataError, ParseError, ResourceLimitError)
 from .gamma.cells import PolySet, alpha_m, chi, chi_bounded
 from .gamma.zeta import AffineFormPW, zeta_polytope
-from .jets.classify import class_of_jets, good_primes, zeta_via_jets
-from .jets.count import count_points
+from .jets.classify import (class_of_jets, collect_counts, good_primes,
+                            zeta_via_jets)
 from .jets.poly import MultiPoly, parse_poly
 from .jets.system import build_jet_system
 from .resolution import (ResolutionData, acampo_lefschetz, acampo_sequence,
@@ -102,6 +100,18 @@ def _point_str(at: tuple[Fraction, ...]) -> str:
     return ", ".join(str(c) for c in at)
 
 
+def _fixture_for(f: MultiPoly, cfg: RunConfig) -> ResolutionData | None:
+    """The --resolution fixture, if any; it must resolve a germ in f's dimension."""
+    if not cfg.resolution:
+        return None
+    res = load_resolution(cfg.resolution)
+    if res.d != f.n_vars:
+        raise MalformedDataError(
+            f"resolution fixture has dimension d = {res.d}, "
+            f"polynomial has {f.n_vars} variables")
+    return res
+
+
 # -- lefschetz ---------------------------------------------------------------
 
 def _jet_row(f: MultiPoly, at: tuple[Fraction, ...], m: int, cfg: RunConfig) -> dict:
@@ -110,7 +120,7 @@ def _jet_row(f: MultiPoly, at: tuple[Fraction, ...], m: int, cfg: RunConfig) -> 
                            node_budget=cfg.node_budget)
     except ResourceLimitError as exc:
         return {"m": m, "error": str(exc), "error_kind": "resource"}
-    except (ClassNotPolynomialError, JetzetaError) as exc:
+    except JetzetaError as exc:
         return {"m": m, "error": str(exc), "error_kind": "class"}
     row = {"m": m, "chi": jc.chi, "route": jc.route}
     if jc.cls is not None:
@@ -120,10 +130,9 @@ def _jet_row(f: MultiPoly, at: tuple[Fraction, ...], m: int, cfg: RunConfig) -> 
 
 def cmd_lefschetz(cfg: RunConfig) -> Outcome:
     f, at = _poly_and_point(cfg)
-    res = load_resolution(cfg.resolution) if cfg.resolution else None
+    res = _fixture_for(f, cfg)
     ms = range(cfg.m_lo, cfg.m_hi + 1)
-    with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-        rows = list(ex.map(lambda m: _jet_row(f, at, m, cfg), ms))
+    rows = [_jet_row(f, at, m, cfg) for m in ms]
     disagree = failed = resource = 0
     for row in rows:
         if "error" in row:
@@ -190,7 +199,7 @@ def _zeta_candidates(res: ResolutionData | None, d: int) -> list[tuple[int, int]
 
 def cmd_zeta(cfg: RunConfig) -> Outcome:
     f, at = _poly_and_point(cfg)
-    res = load_resolution(cfg.resolution) if cfg.resolution else None
+    res = _fixture_for(f, cfg)
     if cfg.terms is not None:
         M = cfg.terms
     elif res is not None:
@@ -267,10 +276,7 @@ def cmd_count(cfg: RunConfig) -> Outcome:
     sys_ = build_jet_system(f, list(at), cfg.m_lo)
     budget = cfg.primes if cfg.primes is not None else sys_.n_jet_vars + 3
     ps = good_primes(f, sys_, budget)
-    with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-        counts = list(ex.map(
-            lambda q: count_points(sys_, q, node_budget=cfg.node_budget), ps))
-    entries = [[q, c] for q, c in zip(ps, counts)]
+    entries = collect_counts(sys_, ps, cfg.node_budget).to_json()
     report = {"command": "count", "f": cfg.poly,
               "at": [str(c) for c in at], "m": cfg.m_lo, "entries": entries}
     table = [f"jet counts for {cfg.poly} at m = {cfg.m_lo}", f"{'q':>8}  N"]
@@ -359,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recursion work cap per point count; exhausting "
                             "it exits with code 4")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads: over jet orders m in lefschetz, "
-                            "over primes in count; zeta ignores it")
+                       help="accepted for compatibility; every count runs "
+                            "on the calling thread")
         p.add_argument("--json", action="store_true", dest="output_json")
 
     p_lef = sub.add_parser("lefschetz",
@@ -430,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         report, table, code = _COMMANDS[cfg.command](cfg)
     except ParseError as exc:
-        print(f"parse error at position {exc.pos}: {exc}", file=sys.stderr)
+        print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

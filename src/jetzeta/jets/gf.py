@@ -475,7 +475,8 @@ class ExtField:
 
 
 _FIELD_CACHE: dict[int, object] = {}
-# count_points runs in worker threads; the eviction below iterates the cache
+# callers may run count_points from several threads, and the eviction below
+# iterates the cache
 _FIELD_LOCK = threading.Lock()
 
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
+
+import pytest
 
 from jetzeta.cli import main
 from jetzeta.gamma.cells import PolySet
@@ -133,7 +136,22 @@ def test_count_rejects_range(capsys):
 
 def test_parse_error_position(capsys):
     assert main(["lefschetz", "-f", "x1 + x^2", "-m", "1"]) == 2
-    assert "position" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "parse error: variable needs an index (x1, x2, ...) (at position 5)\n")
+
+
+@pytest.mark.parametrize("argv, d, n", [
+    (["lefschetz", "-f", "x1^2", "-m", "1..4",
+      "--resolution", str(FIXTURES / "a1" / "resolution.json")], 2, 1),
+    (["zeta", "-f", "x1^2 + x2^2",
+      "--resolution", str(FIXTURES / "x2" / "resolution.json")], 1, 2),
+])
+def test_fixture_of_another_dimension_exits_2(capsys, argv, d, n):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: resolution fixture has dimension d = {d}, "
+                   f"polynomial has {n} variables\n")
 
 
 def test_bad_inputs_exit_2(capsys):
@@ -196,3 +214,20 @@ def test_thread_count_does_not_change_output(capsys):
     assert main(argv + ["--threads", "4"]) == 0
     out4 = capsys.readouterr().out
     assert out1 == out4
+
+
+def test_counts_start_no_thread(capsys, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    for argv in (["lefschetz", "-f", "x1^2 + x2^3", "-m", "1..3"],
+                 ["count", "-f", "x1*x2", "-m", "3"],
+                 ["zeta", "-f", "x1^2", "-M", "6"]):
+        assert main(argv + ["--threads", "8", "--json"]) == 0
+    capsys.readouterr()
+    assert started == []
