@@ -23,8 +23,8 @@ from .errors import (FitFailure, JetzetaError, LimitMismatchError,
                      MalformedDataError, ParseError, ResourceLimitError)
 from .gamma.cells import PolySet, alpha_m, chi, chi_bounded
 from .gamma.zeta import AffineFormPW, zeta_polytope
-from .jets.classify import (class_of_jets, collect_counts, good_primes,
-                            zeta_via_jets)
+from .jets.classify import (JetOrders, class_of_jets, collect_counts,
+                            good_primes, zeta_via_jets)
 from .jets.poly import MultiPoly, parse_poly
 from .jets.system import build_jet_system
 from .resolution import (ResolutionData, acampo_lefschetz, acampo_sequence,
@@ -114,10 +114,11 @@ def _fixture_for(f: MultiPoly, cfg: RunConfig) -> ResolutionData | None:
 
 # -- lefschetz ---------------------------------------------------------------
 
-def _jet_row(f: MultiPoly, at: tuple[Fraction, ...], m: int, cfg: RunConfig) -> dict:
+def _jet_row(f: MultiPoly, at: tuple[Fraction, ...], m: int, cfg: RunConfig,
+             orders: JetOrders) -> dict:
     try:
         jc = class_of_jets(f, at, m, prime_budget=cfg.primes,
-                           node_budget=cfg.node_budget)
+                           node_budget=cfg.node_budget, orders=orders)
     except ResourceLimitError as exc:
         return {"m": m, "error": str(exc), "error_kind": "resource"}
     except JetzetaError as exc:
@@ -132,7 +133,8 @@ def cmd_lefschetz(cfg: RunConfig) -> Outcome:
     f, at = _poly_and_point(cfg)
     res = _fixture_for(f, cfg)
     ms = range(cfg.m_lo, cfg.m_hi + 1)
-    rows = [_jet_row(f, at, m, cfg) for m in ms]
+    orders = JetOrders(f, at, ms, cfg.primes, node_budget=cfg.node_budget)
+    rows = [_jet_row(f, at, m, cfg, orders) for m in ms]
     disagree = failed = resource = 0
     for row in rows:
         if "error" in row:
@@ -362,8 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--primes", type=int, default=None,
                        help="prime budget per interpolation")
         p.add_argument("--node-budget", type=int, default=_DEFAULT_NODE_BUDGET,
-                       help="recursion work cap per point count; exhausting "
-                            "it exits with code 4")
+                       help="recursion work cap per point count (a "
+                            "subsystem an earlier order solved over the same "
+                            "field is free); exhausting it exits with code 4")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; every count runs "
                             "on the calling thread")

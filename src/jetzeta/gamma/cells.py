@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd
 from typing import Iterable, Optional, Sequence
 
@@ -81,8 +82,14 @@ class RationalCell:
         return ([(c, r, True) for c, r in self.lt]
                 + [(c, r, False) for c, r in self.le])
 
-    def is_empty(self) -> bool:
+    @cached_property
+    def _empty(self) -> bool:
         return not elim.feasible(self.n, self.eq, self._ineq_rows())
+
+    def is_empty(self) -> bool:
+        # one Fourier-Motzkin test per cell object: _faces_of, the
+        # arrangement it builds and the next caller on the same set all ask
+        return self._empty
 
     def contains(self, point: Sequence) -> bool:
         p = [_frac(x) for x in point]

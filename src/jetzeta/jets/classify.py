@@ -14,6 +14,17 @@ Three routes, tried in order of directness:
 
 Each fit verifies on held-out primes and failures are never coerced.
 
+The interp tables of a range of orders are counted together (JetOrders),
+field by field: q ascending, and within one q every order whose prime pool
+holds q, m ascending.  The level systems of successive orders share most
+of their subsystems, so all the counts over one field share one
+count_points memo, dropped before the next field; each count keeps its own
+node budget.  An error raised while building or counting one order stays
+that order's error, and the other orders count on.  class_of_jets
+classifies one order at a time, from such a range or from its own order
+alone; collect_counts is the one-system case of the same loop.  The
+residue and trace routes count their own pools, one order at a time.
+
 A fit builds one exact Newton divided-difference table over the counts.
 The interpolant through the first d + 1 counts fits them all exactly when
 every divided difference past index d vanishes, so the least degree is
@@ -129,10 +140,93 @@ def good_primes(f: MultiPoly, sys: JetConstraintSystem | None, count: int,
     return out
 
 
+def _count_by_field(jobs: Sequence[tuple[JetConstraintSystem, Sequence[int]]],
+                    node_budget: int) -> list[CountTable | Exception]:
+    """Count every system of jobs over every field of its pool.
+
+    The fields go in ascending order, and within one field the systems in
+    the order of jobs.  All the counts over one field share one count_points
+    memo, dropped before the next field; each count keeps its own budget.
+    A system whose count raises keeps that error in place of its table and
+    is skipped over the later fields.
+    """
+    counts: list[dict[int, int]] = [{} for _ in jobs]
+    errors: list[Exception | None] = [None] * len(jobs)
+    for q in sorted({q for _, qs in jobs for q in qs}):
+        memo: dict = {}
+        for i, (sys, qs) in enumerate(jobs):
+            if errors[i] is None and q in qs:
+                try:
+                    counts[i][q] = count_points(sys, q, node_budget, memo)
+                except Exception as exc:
+                    errors[i] = exc
+        # a kept error's traceback still reaches the memo through its frames
+        memo.clear()
+    return [err if err is not None
+            else CountTable(tuple((q, got[q]) for q in qs))
+            for err, got, (_, qs) in zip(errors, counts, jobs)]
+
+
 def collect_counts(sys: JetConstraintSystem, qs: Sequence[int],
                    node_budget: int = 1_000_000_000) -> CountTable:
-    return CountTable(tuple((q, count_points(sys, q, node_budget))
-                            for q in qs))
+    """Count table of one system over the fields qs, in the order of qs."""
+    (table,) = _count_by_field([(sys, qs)], node_budget)
+    if isinstance(table, Exception):
+        raise table
+    return table
+
+
+class JetOrders:
+    """Systems and interp-route count tables of a range of jet orders.
+
+    The first call of interp builds every order's level system and prime
+    pool and counts all the tables field by field (see _count_by_field), so
+    the work runs inside the first class_of_jets call, as it did when each
+    order counted its own table.  An error raised while building or counting
+    an order is kept, and interp re-raises it for that order alone.
+    """
+
+    def __init__(self, f: MultiPoly, x: Sequence, ms: Sequence[int],
+                 prime_budget: int | None = None, *,
+                 max_prime: int | None = None,
+                 node_budget: int = 1_000_000_000):
+        self._f = f
+        self._x = x
+        self._ms = tuple(ms)
+        self._prime_budget = prime_budget
+        self._max_prime = max_prime
+        self._node_budget = node_budget
+        self._done: dict[int, tuple[JetConstraintSystem, CountTable]
+                         | Exception] | None = None
+
+    def _pool(self, m: int) -> tuple[JetConstraintSystem, list[int]]:
+        sys = build_jet_system(self._f, self._x, m)
+        budget = (self._prime_budget if self._prime_budget is not None
+                  else sys.n_jet_vars + 3)
+        return sys, good_primes(self._f, sys, budget,
+                                max_prime=self._max_prime)
+
+    def _count(self) -> dict:
+        done: dict = {}
+        jobs: dict[int, tuple[JetConstraintSystem, list[int]]] = {}
+        for m in self._ms:
+            try:
+                jobs[m] = self._pool(m)
+            except Exception as exc:
+                done[m] = exc
+        tables = _count_by_field(list(jobs.values()), self._node_budget)
+        for (m, (sys, _)), table in zip(jobs.items(), tables):
+            done[m] = table if isinstance(table, Exception) else (sys, table)
+        return done
+
+    def interp(self, m: int) -> tuple[JetConstraintSystem, CountTable]:
+        """Order m's level system and its count table over its prime pool."""
+        if self._done is None:
+            self._done = self._count()
+        got = self._done[m]
+        if isinstance(got, Exception):
+            raise got
+        return got
 
 
 def _divided_differences(points: Sequence[tuple[int, int]]) -> list[Fraction]:
@@ -321,14 +415,20 @@ def _trace_route(f: MultiPoly, sys: JetConstraintSystem, m: int,
 def class_of_jets(f: MultiPoly, x: Sequence, m: int,
                   prime_budget: int | None = None, *,
                   max_prime: int | None = None,
-                  node_budget: int = 1_000_000_000) -> JetClass:
-    """Classify one jet order, falling through the three routes."""
-    sys = build_jet_system(f, x, m)
+                  node_budget: int = 1_000_000_000,
+                  orders: JetOrders | None = None) -> JetClass:
+    """Classify one jet order, falling through the three routes.
+
+    orders, when given, must hold m and come from the same f, x and
+    budgets; it supplies m's system and interp table, counted together with
+    its other orders.  Without it m is counted alone.
+    """
+    if orders is None:
+        orders = JetOrders(f, x, (m,), prime_budget, max_prime=max_prime,
+                           node_budget=node_budget)
+    sys, table = orders.interp(m)
     bound = sys.n_jet_vars
-    budget = prime_budget if prime_budget is not None else bound + 3
-    pool = good_primes(f, sys, budget, max_prime=max_prime)
-    table = collect_counts(sys, pool, node_budget) if pool else CountTable(())
-    if len(pool) >= 3:
+    if len(table) >= 3:
         try:
             cls = _fit_minimal(table, bound)
             return JetClass(m, cls.at_one(), cls, "interp", table)
@@ -363,10 +463,12 @@ def zeta_via_jets(f: MultiPoly, x: Sequence, d: int, M: int,
     """Prefix [0, c_1, ..., c_M] of the motivic zeta series, c_m the class
     of the order-m jet locus normalized by L^(-m*d)."""
     terms: SeriesPrefix = [LaurentPoly.zero()]
+    orders = JetOrders(f, x, range(1, M + 1), prime_budget,
+                       max_prime=max_prime, node_budget=node_budget)
     for m in range(1, M + 1):
         try:
             jc = class_of_jets(f, x, m, prime_budget, max_prime=max_prime,
-                               node_budget=node_budget)
+                               node_budget=node_budget, orders=orders)
         except ClassNotPolynomialError as e:
             raise ClassNotPolynomialError(
                 f"zeta term m={m}: {e}", table=e.table) from e

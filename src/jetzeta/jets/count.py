@@ -79,6 +79,15 @@ rule walks variables in sorted order, so a copy under an order-preserving
 relabelling hits the entry of the first one, which would have taken the
 same path through the rules.
 
+The keys hold field elements, so one memo serves one field.  A count
+starts from an empty memo unless its caller passes one that earlier counts
+over the same field filled: the level systems of successive jet orders
+share most of their subsystems, so classify counts every order of a run
+field by field and hands all the counts over one field a single memo,
+dropped before the next field.  An entry found in the memo costs the node
+budget nothing, whichever count made it; the budget caps the work one
+count does itself.
+
 Vector evaluation never materialises a constant: evaluate_vec starts from
 its first non-constant term and adds the constant term last with addc_v,
 and the quadratic root count shared by the chi2-pair rule and the private
@@ -108,11 +117,13 @@ _CHUNK = 1 << 17
 class _Budget:
     __slots__ = ("left", "memo")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, memo: dict | None = None):
         self.left = n
         # count over exactly the used variables, keyed on the system up to
-        # an order-preserving renaming of them (see _solve)
-        self.memo: dict = {}
+        # an order-preserving renaming of them (see _solve); shared by the
+        # counts over one field when the caller passes it in, and an entry
+        # another count made costs this budget nothing
+        self.memo: dict = {} if memo is None else memo
 
     def spend(self, n: int) -> None:
         self.left -= n
@@ -820,10 +831,16 @@ def _solve_uncached(work: list[FP], used: set, F, budget: _Budget) -> int:
 
 
 def count_points(sys: JetConstraintSystem, q: int,
-                 node_budget: int = 1_000_000_000) -> int:
-    """Number of F_q points of the level system; exact."""
+                 node_budget: int = 1_000_000_000,
+                 memo: dict | None = None) -> int:
+    """Number of F_q points of the level system; exact.
+
+    memo, when given, is the subsystem memo of earlier counts over the same
+    field F_q, which this count reads and extends; by default the count
+    starts from an empty one.
+    """
     F = make_field(q)
-    budget = _Budget(node_budget)
+    budget = _Budget(node_budget, memo)
     eqs = _fold_system(sys, F)
     live = frozenset(range(sys.n_jet_vars))
     return _solve(eqs, live, F, budget)

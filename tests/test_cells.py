@@ -16,6 +16,7 @@ from jetzeta.gamma import (
     RationalCell, PolySet, decompose_open, chi, chi_bounded, weight,
     lattice_points, alpha_m, tilde_alpha,
 )
+from jetzeta.gamma import cells
 from jetzeta.gamma.cells import _faces_of, arrangement_faces
 
 
@@ -285,3 +286,21 @@ def test_axis_faces_carry_their_row_pieces():
             assert face.pieces == decoded_pieces(face)
     for face in arrangement_faces(triangle().cells, 2):
         assert face.pieces is None and decoded_pieces(face) is None
+
+
+def test_each_cell_checked_for_emptiness_once(monkeypatch):
+    # _faces_of filters the cells, the arrangement filters them again, and
+    # chi after the zeta series asks a third time: one feasibility test each
+    checked = []
+    feasible = cells.elim.feasible
+
+    def spy(n, eqs, ineqs):
+        checked.append((n, tuple(eqs), tuple(ineqs)))
+        return feasible(n, eqs, ineqs)
+
+    monkeypatch.setattr(cells.elim, "feasible", spy)
+    S = PolySet.box([(0, 1, True, False), (Fraction(-1, 2), 2, False, True)])
+    empty = RationalCell.make(1, lt=[((1,), 0), ((-1,), 0)])
+    assert chi(S) == chi(S) == 0
+    assert empty.is_empty() and empty.is_empty()
+    assert len(checked) == len(set(checked)) == 2

@@ -10,13 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import jetzeta.jets.classify as classify
 from jetzeta.algebra.laurent import LaurentPoly
-from jetzeta.errors import ClassNotPolynomialError
-from jetzeta.jets.classify import (ClassPoly, CountTable, _berlekamp_massey,
-                                   _fit_minimal, class_of_jets,
-                                   collect_counts, good_primes,
+from jetzeta.errors import ClassNotPolynomialError, ResourceLimitError
+from jetzeta.jets.classify import (ClassPoly, CountTable, JetOrders,
+                                   _berlekamp_massey, _fit_minimal,
+                                   class_of_jets, collect_counts, good_primes,
                                    interpolate_class, lefschetz_via_jets,
                                    milnor_fiber_limit, zeta_via_jets)
+from jetzeta.jets.count import count_points
 from jetzeta.jets.poly import MultiPoly, parse_poly
 from jetzeta.jets.system import build_jet_system
 
@@ -311,3 +313,117 @@ def test_a1_past_order_six():
     for m in (7, 8):
         assert lefschetz_via_jets(f, expected["at"], m) == \
             expected["lefschetz"][m - 1]
+
+
+# -- field-major counting: every order's interp table, one memo per field ----
+
+def _fixture_germ(name: str):
+    expected = json.loads((FIXTURES / name / "expected.json").read_text())
+    return parse_poly(expected["f"]), expected["at"]
+
+
+@pytest.mark.parametrize("name, top", [
+    ("x2", 8), ("x3", 8), ("node", 12), ("a1", 8), ("cusp", 8)])
+def test_field_major_tables_match_per_order_counts(name, top):
+    f, at = _fixture_germ(name)
+    orders = JetOrders(f, at, range(1, top + 1))
+    for m in range(1, top + 1):
+        sys, table = orders.interp(m)
+        alone = build_jet_system(f, at, m)
+        pool = good_primes(f, alone, alone.n_jet_vars + 3)
+        assert sys == alone
+        assert table == collect_counts(alone, pool)
+
+
+def _spy_counts(monkeypatch, fail=None):
+    """Record (m, q, memo) of every count classify makes; fail maps (m, q)
+    to the error that count raises instead."""
+    calls = []
+
+    def spy(sys, q, node_budget, memo=None):
+        calls.append((sys.m, q, memo))
+        if fail and (sys.m, q) in fail:
+            raise fail[sys.m, q]
+        return count_points(sys, q, node_budget, memo)
+
+    monkeypatch.setattr(classify, "count_points", spy)
+    return calls
+
+
+def test_field_major_order_and_one_memo_per_field(monkeypatch):
+    f, at = _fixture_germ("node")
+    calls = _spy_counts(monkeypatch)
+    orders = JetOrders(f, at, range(1, 7))
+    orders.interp(1)
+    pools = {m: orders.interp(m)[1].primes for m in range(1, 7)}
+    # q ascending, and within one q every order whose pool holds it, m ascending
+    assert [(q, m) for m, q, _ in calls] == sorted(
+        (q, m) for m, qs in pools.items() for q in qs)
+    memos = {}
+    for m, q, memo in calls:
+        assert memo is not None
+        assert memos.setdefault(q, memo) is memo
+    # each field's memo is its own, used over one unbroken run of counts and
+    # emptied when the field ends
+    runs = [memo for i, (_, _, memo) in enumerate(calls)
+            if i == 0 or memo is not calls[i - 1][2]]
+    assert len({id(memo) for memo in runs}) == len(runs) == len(memos)
+    assert all(not memo for memo in runs)
+
+
+def test_single_order_counts_with_a_fresh_memo_per_field(monkeypatch):
+    f, at = _fixture_germ("node")
+    calls = _spy_counts(monkeypatch)
+    jc = class_of_jets(f, at, 3)
+    assert [q for _, q, _ in calls] == list(jc.table.primes)
+    assert len({id(memo) for _, _, memo in calls}) == len(calls)
+
+
+def test_build_error_stays_with_its_order(monkeypatch):
+    f, at = _fixture_germ("node")
+    real = classify.build_jet_system
+
+    def build(f, x, m):
+        if m == 3:
+            raise ResourceLimitError("no system for m=3")
+        return real(f, x, m)
+
+    monkeypatch.setattr(classify, "build_jet_system", build)
+    calls = _spy_counts(monkeypatch)
+    orders = JetOrders(f, at, range(1, 5))
+    with pytest.raises(ResourceLimitError, match="no system for m=3"):
+        orders.interp(3)
+    assert 3 not in {m for m, _, _ in calls}
+    assert orders.interp(4)[1] == JetOrders(f, at, (4,)).interp(4)[1]
+
+
+def test_count_error_stays_with_its_order(monkeypatch):
+    f, at = _fixture_germ("node")
+    pool = JetOrders(f, at, (3,)).interp(3)[1].primes
+    bad = pool[2]
+    calls = _spy_counts(monkeypatch,
+                        {(3, bad): ResourceLimitError("count budget exhausted")})
+    orders = JetOrders(f, at, range(1, 6))
+    residue = []
+    monkeypatch.setattr(classify, "_residue_route",
+                        lambda *a: residue.append(a))
+    with pytest.raises(ResourceLimitError, match="budget exhausted"):
+        class_of_jets(f, at, 3, orders=orders)
+    assert residue == []
+    # order 3 stops at its failing field; every other order counts on
+    assert [q for m, q, _ in calls if m == 3] == list(pool[:3])
+    for m in (1, 2, 4, 5):
+        table = orders.interp(m)[1]
+        assert table.primes == tuple(q for k, q, _ in calls if k == m)
+        assert class_of_jets(f, at, m, orders=orders).route == "interp"
+
+
+def test_zeta_raises_the_smallest_failing_order(monkeypatch):
+    f, at = _fixture_germ("node")
+    first_pool = JetOrders(f, at, (2,)).interp(2)[1].primes
+    # order 4 fails over the first field, before order 2 fails over its last
+    _spy_counts(monkeypatch, {
+        (4, first_pool[0]): ResourceLimitError("order 4 failed"),
+        (2, first_pool[-1]): ResourceLimitError("order 2 failed")})
+    with pytest.raises(ResourceLimitError, match="order 2 failed"):
+        zeta_via_jets(f, at, 2, 5)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from pathlib import Path
 
 import pytest
 
+import jetzeta.jets.classify as classify
 from jetzeta.cli import main
+from jetzeta.errors import ResourceLimitError
 from jetzeta.gamma.cells import PolySet
+from jetzeta.jets.count import count_points
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -231,3 +235,48 @@ def test_counts_start_no_thread(capsys, monkeypatch):
         assert main(argv + ["--threads", "8", "--json"]) == 0
     capsys.readouterr()
     assert started == []
+
+
+# SHA-256 of the --json report, recorded when every order was counted on its
+# own; counting the orders field by field must not change a byte
+REPORT_DIGESTS = [
+    (["zeta", "-f", "x1*x2", "-M", "12"],
+     "6963528b3d6f592c7f4e997f107ed3a381a9c208cf3ac8bd0a740603897a224a"),
+] + [
+    (["lefschetz", "-f", poly, "-m", "1..6",
+      "--resolution", str(FIXTURES / name / "resolution.json")], digest)
+    for name, poly, digest in [
+        ("x2", "x1^2",
+         "d5e36e47cad14aab2ea6f813beb03448de5c7d48eec5a54dc9a67242ec670666"),
+        ("x3", "x1^3",
+         "d18d3e3549ed3757ec52e991dde82563b744ce98b7c658ae90bd18c3c10766a1"),
+        ("node", "x1*x2",
+         "46404f2a20b777ee1ce892f2817887465c8d85778a45cc0590ee41c5b5966998"),
+        ("a1", "x1^2 + x2^2",
+         "89e3aee350ec00aee62a1846573c06aba93666fb4dc47d270a63d3a3861a9338"),
+        ("cusp", "x1^2 + x2^3",
+         "2044a0b50910e272aa4b160a22bc33e12da5b418164f13ec97e849d2aa5944b3"),
+    ]
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS,
+                         ids=[" ".join(argv[:3]) for argv, _ in REPORT_DIGESTS])
+def test_report_pinned(capsys, argv, digest):
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_lefschetz_count_error_in_its_row_only(capsys, monkeypatch):
+    def count(sys, q, node_budget, memo=None):
+        if sys.m == 3:
+            raise ResourceLimitError("count budget exhausted")
+        return count_points(sys, q, node_budget, memo)
+
+    monkeypatch.setattr(classify, "count_points", count)
+    code, rep = run_json(capsys, ["lefschetz", "-f", "x1*x2", "-m", "1..5"])
+    assert code == 4
+    assert [("error" in r, r["m"]) for r in rep["rows"]] == [
+        (False, 1), (False, 2), (True, 3), (False, 4), (False, 5)]
+    assert rep["rows"][2]["error_kind"] == "resource"
