@@ -17,16 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra.dagger import DaggerSeries, ds_fit, ds_limit
+from .algebra.dagger import ds_fit, ds_limit
 from .algebra.laurent import LaurentPoly
 from .errors import (FitFailure, JetzetaError, LimitMismatchError,
                      MalformedDataError, ParseError, ResourceLimitError)
 from .gamma.cells import PolySet, alpha_m, chi, chi_bounded
 from .gamma.zeta import AffineFormPW, zeta_polytope
-from .jets.classify import (JetOrders, class_of_jets, collect_counts,
-                            good_primes, zeta_via_jets)
+from .jets.classify import JetOrders, class_of_jets, zeta_via_jets
 from .jets.poly import MultiPoly, parse_poly
-from .jets.system import build_jet_system
 from .resolution import (ResolutionData, acampo_lefschetz, acampo_sequence,
                          load_resolution, quasi_unipotent_period)
 
@@ -275,10 +273,9 @@ def cmd_count(cfg: RunConfig) -> Outcome:
     if cfg.m_lo != cfg.m_hi:
         raise MalformedDataError("count takes a single m, not a range")
     f, at = _poly_and_point(cfg)
-    sys_ = build_jet_system(f, list(at), cfg.m_lo)
-    budget = cfg.primes if cfg.primes is not None else sys_.n_jet_vars + 3
-    ps = good_primes(f, sys_, budget)
-    entries = collect_counts(sys_, ps, cfg.node_budget).to_json()
+    orders = JetOrders(f, at, (cfg.m_lo,), cfg.primes,
+                       node_budget=cfg.node_budget)
+    entries = orders.interp(cfg.m_lo)[1].to_json()
     report = {"command": "count", "f": cfg.poly,
               "at": [str(c) for c in at], "m": cfg.m_lo, "entries": entries}
     table = [f"jet counts for {cfg.poly} at m = {cfg.m_lo}", f"{'q':>8}  N"]

@@ -2,8 +2,9 @@
 
 Three routes, tried in order of directness:
 
-* direct interpolation over the smallest good primes, for counts that are
-  one polynomial in q;
+* direct interpolation over the smallest good primes (n_jet_vars + 3 of
+  them unless a prime budget says otherwise), for counts that are one
+  polynomial in q;
 * residue stratification: counts that are polynomial on each class of
   q modulo D (D = lcm of 24 and the exponents of f) get a per-class fit,
   and the q = 1 (mod D) class, where all the relevant roots of unity are
@@ -22,7 +23,8 @@ count_points memo, dropped before the next field; each count keeps its own
 node budget.  An error raised while building or counting one order stays
 that order's error, and the other orders count on.  class_of_jets
 classifies one order at a time, from such a range or from its own order
-alone; collect_counts is the one-system case of the same loop.  The
+alone, and the count command prints the interp table of its one order;
+collect_counts is the one-system case of the same loop.  The
 residue and trace routes count their own pools, one order at a time.
 
 A fit builds one exact Newton divided-difference table over the counts.
@@ -111,7 +113,7 @@ class JetClass:
 
 
 def good_primes(f: MultiPoly, sys: JetConstraintSystem | None, count: int,
-                *, max_prime: int | None = None, residue: int | None = None,
+                *, residue: int | None = None,
                 modulus: int | None = None) -> list[int]:
     """Smallest primes safe for counting this germ, ascending.
 
@@ -129,8 +131,6 @@ def good_primes(f: MultiPoly, sys: JetConstraintSystem | None, count: int,
     out: list[int] = []
     p = 2
     while len(out) < count:
-        if max_prime is not None and p > max_prime:
-            break
         if p > _PRIME_SEARCH_CAP:
             raise ResourceLimitError("prime pool search cap exceeded")
         if is_prime(p) and p > min_exp and p not in banned and \
@@ -188,13 +188,11 @@ class JetOrders:
 
     def __init__(self, f: MultiPoly, x: Sequence, ms: Sequence[int],
                  prime_budget: int | None = None, *,
-                 max_prime: int | None = None,
                  node_budget: int = 1_000_000_000):
         self._f = f
         self._x = x
         self._ms = tuple(ms)
         self._prime_budget = prime_budget
-        self._max_prime = max_prime
         self._node_budget = node_budget
         self._done: dict[int, tuple[JetConstraintSystem, CountTable]
                          | Exception] | None = None
@@ -203,8 +201,7 @@ class JetOrders:
         sys = build_jet_system(self._f, self._x, m)
         budget = (self._prime_budget if self._prime_budget is not None
                   else sys.n_jet_vars + 3)
-        return sys, good_primes(self._f, sys, budget,
-                                max_prime=self._max_prime)
+        return sys, good_primes(self._f, sys, budget)
 
     def _count(self) -> dict:
         done: dict = {}
@@ -414,7 +411,6 @@ def _trace_route(f: MultiPoly, sys: JetConstraintSystem, m: int,
 
 def class_of_jets(f: MultiPoly, x: Sequence, m: int,
                   prime_budget: int | None = None, *,
-                  max_prime: int | None = None,
                   node_budget: int = 1_000_000_000,
                   orders: JetOrders | None = None) -> JetClass:
     """Classify one jet order, falling through the three routes.
@@ -424,8 +420,7 @@ def class_of_jets(f: MultiPoly, x: Sequence, m: int,
     its other orders.  Without it m is counted alone.
     """
     if orders is None:
-        orders = JetOrders(f, x, (m,), prime_budget, max_prime=max_prime,
-                           node_budget=node_budget)
+        orders = JetOrders(f, x, (m,), prime_budget, node_budget=node_budget)
     sys, table = orders.interp(m)
     bound = sys.n_jet_vars
     if len(table) >= 3:
@@ -448,26 +443,23 @@ def class_of_jets(f: MultiPoly, x: Sequence, m: int,
 
 def lefschetz_via_jets(f: MultiPoly, x: Sequence, m: int,
                        prime_budget: int | None = None, *,
-                       max_prime: int | None = None,
                        node_budget: int = 1_000_000_000) -> int:
     """Euler number of the order-m jet locus, equal to the Lefschetz
     number of the m-th monodromy power."""
-    return class_of_jets(f, x, m, prime_budget, max_prime=max_prime,
-                         node_budget=node_budget).chi
+    return class_of_jets(f, x, m, prime_budget, node_budget=node_budget).chi
 
 
 def zeta_via_jets(f: MultiPoly, x: Sequence, d: int, M: int,
                   prime_budget: int | None = None, *,
-                  max_prime: int | None = None,
                   node_budget: int = 1_000_000_000) -> SeriesPrefix:
     """Prefix [0, c_1, ..., c_M] of the motivic zeta series, c_m the class
     of the order-m jet locus normalized by L^(-m*d)."""
     terms: SeriesPrefix = [LaurentPoly.zero()]
     orders = JetOrders(f, x, range(1, M + 1), prime_budget,
-                       max_prime=max_prime, node_budget=node_budget)
+                       node_budget=node_budget)
     for m in range(1, M + 1):
         try:
-            jc = class_of_jets(f, x, m, prime_budget, max_prime=max_prime,
+            jc = class_of_jets(f, x, m, prime_budget,
                                node_budget=node_budget, orders=orders)
         except ClassNotPolynomialError as e:
             raise ClassNotPolynomialError(

@@ -31,16 +31,17 @@ Only systems that neither these nor the earlier reductions fit reach the
 O(q^k) grid fallbacks, which give up once q^k exceeds GRID_CAP.
 naive_count enumerates the full grid and is the reference oracle.
 
-The grid rules, the chi2-pair rule and _uni_roots scan field points
-through one chunked enumerator: _grid_zeros walks the grid F_q^k in index
-ranges of _CHUNK points and yields the zeros of the given equations in
-each range.  _enumerate sums a per-point weight over them: 1 for the grid
-fallback and naive_count, or the number of roots of an equation quadratic
-in a variable no other equation has (the private grid; the chi2-pair rule
-is its case of one grid variable and no other equation).  _uni_roots reads
-its roots off the same loop.  So these rules hold at most _CHUNK points at
-a time at any field size; the line sweep still evaluates its q + 1
-directions at once.
+The grid rules and _uni_roots scan field points through one chunked
+enumerator: _grid_zeros walks the grid F_q^k in index ranges of _CHUNK
+points and yields the zeros of the given equations in each range.
+_enumerate sums a per-point weight over them: 1 for the grid fallback and
+naive_count, or the number of roots of an equation quadratic in a variable
+no other equation has (the private grid).  A lone equation in two
+variables, quadratic in one, is the private grid's case of one grid
+variable and no other equation, tried just before the binary-form split.
+_uni_roots reads its roots off the same loop.  So these rules hold at most
+_CHUNK points at a time at any field size; the line sweep still evaluates
+its q + 1 directions at once.
 
 _enumerate has one power-map rule.  When the grid is one variable w, the
 field keeps discrete-log tables (ExtField), and d, the gcd of w's
@@ -53,7 +54,7 @@ maps it g-to-1 onto its subgroup H of index g = gcd(d, q - 1), and
 with W' the weight with every w^k read as u^(k/d) (FP.deflate).  H is
 every g-th entry of the EXP table, which _grid_zeros scans in chunks in
 place of F_q: (q - 1)/g points, with lower powers.  The trace route's
-v^2 = w^3 + c leaves take it through the chi2-pair rule.  Prime fields
+v^2 = w^3 + c leaves take it through the private grid over w.  Prime fields
 keep the plain scan (they have no EXP table), and so does _uni_roots,
 which needs the roots themselves, not a weighted sum.
 
@@ -90,12 +91,12 @@ count does itself.
 
 Vector evaluation never materialises a constant: evaluate_vec starts from
 its first non-constant term and adds the constant term last with addc_v,
-and the quadratic root count shared by the chi2-pair rule and the private
-grid keeps constant coefficients as field scalars, so the trace route's
-v^2 = g(w) leaves need no vector addition at all.  With a constant A and
-no linear term the quadratic character factors, chi2(-4A*C) =
-chi2(-4A)*chi2(C), so C is not scaled either.  A first power v^1 reads
-v's coordinates as they are, with no pow_v.
+and the private grid's quadratic root count keeps constant coefficients as
+field scalars, so the trace route's v^2 = g(w) leaves need no vector
+addition at all.  With a constant A and no linear term the quadratic
+character factors, chi2(-4A*C) = chi2(-4A)*chi2(C), so C is not scaled
+either.  A first power v^1 reads v's coordinates as they are, with no
+pow_v.
 """
 
 from __future__ import annotations
@@ -281,17 +282,6 @@ class FP:
                     c.pop(e, None)
         return FP(F, self.n, c)
 
-    def pow(self, k: int) -> "FP":
-        out = FP.const(self.F, self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
-        return out
-
     def substitute(self, v: int, rep: "FP") -> "FP":
         """Plug rep in for variable v (Horner on the power grouping)."""
         r = rep.const_value()
@@ -407,17 +397,6 @@ def _uni_roots(eq: FP, v: int, budget: _Budget) -> list[int]:
     budget.spend(F.q * len(eq.c) // 16 + 1)
     return [int(x) for coords, _ in _grid_zeros([eq], [v], F)
             for x in coords[v]]
-
-
-def _chi2_pair_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
-    """Points of one equation in two variables, quadratic in v.
-
-    For each value of w the v-count is the usual quadratic root count
-    through the quadratic character of the discriminant.
-    """
-    F = eq.F
-    budget.spend(F.q * (len(eq.c) + 4) // 16 + 1)
-    return _enumerate([], [w], F, eq.coeffs_by_power(v))
 
 
 # A value at the points is a vector, or a field scalar when it is the same
@@ -579,7 +558,7 @@ def _quad_private_grid(eqs: list[FP], i: int, v: int, vs: list[int],
     v must appear in no other equation, so each grid point satisfying the
     other equations contributes its quadratic v-root count 1 + chi2(disc).
     """
-    nterms = sum(len(e.c) for e in eqs) + 6
+    nterms = sum(len(e.c) for e in eqs) + 4
     budget.spend(F.q ** len(vs) * nterms // 16 + 1)
     return _enumerate(eqs[:i] + eqs[i + 1:], vs, F, eqs[i].coeffs_by_power(v))
 
@@ -760,13 +739,14 @@ def _solve_uncached(work: list[FP], used: set, F, budget: _Budget) -> int:
             total += _solve(rest + [c, r], live, F, budget)
             return total
 
-    # two-variable single equation, quadratic in one of them
+    # two-variable single equation, quadratic in one of them: the private
+    # grid over the other
     if len(used) == 2 and len(work) == 1 and q % 2:
         v1, v2 = sorted(used)
         e = work[0]
         for v, w in ((v1, v2), (v2, v1)):
             if e.deg_in(v) <= 2:
-                return _chi2_pair_count(e, v, w, budget)
+                return _quad_private_grid(work, 0, v, [w], F, budget)
 
     # binary form: its zeros are the lines w = t*v for the roots t of
     # e(1, t), and v = 0 when the w^d coefficient vanishes; any two lines

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from ..errors import ParseError
 
@@ -126,8 +128,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def max_exponent(self) -> int:
@@ -239,6 +242,9 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 # parser: integer-coefficient expressions in x1..xn with +, -, *, ^, ()
 
+Builder = Callable[[int], MultiPoly]
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -275,76 +281,68 @@ class _Tokenizer:
 
 
 class _Parser:
+    """One left-to-right pass over the text.  Each rule returns a builder, a
+    function of the variable count n giving its polynomial, since n is known
+    only once the whole text has been read."""
+
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
         self.max_var = 0
 
-    def parse(self) -> dict:
-        acc = self._expr()
+    def parse(self) -> Builder:
+        build = self._expr()
         kind, text, p = self.toks.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", p)
-        return acc
+        return build
 
-    def _expr(self) -> dict:
+    def _at(self, ops: str) -> bool:
+        kind, text, _ = self.toks.peek()
+        return kind == "op" and text in ops
+
+    def _signs(self) -> int:
+        """Consume a run of + and - signs; their product."""
         sign = 1
-        while True:
-            kind, text, p = self.toks.peek()
-            if kind == "op" and text in "+-":
-                self.toks.next()
-                if text == "-":
-                    sign = -sign
-            else:
-                break
-        acc = _scale(self._term(), sign)
-        while True:
-            kind, text, p = self.toks.peek()
-            if kind == "op" and text in "+-":
-                self.toks.next()
-                sign = 1 if text == "+" else -1
-                while True:
-                    kind2, text2, _ = self.toks.peek()
-                    if kind2 == "op" and text2 in "+-":
-                        self.toks.next()
-                        if text2 == "-":
-                            sign = -sign
-                    else:
-                        break
-                acc = _add(acc, _scale(self._term(), sign))
-            else:
-                return acc
+        while self._at("+-"):
+            if self.toks.next()[1] == "-":
+                sign = -sign
+        return sign
 
-    def _term(self) -> dict:
-        acc = self._power()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text == "*":
-                self.toks.next()
-                acc = _mul(acc, self._power())
-            else:
-                return acc
+    def _expr(self) -> Builder:
+        terms = [(self._signs(), self._term())]
+        while self._at("+-"):
+            terms.append((self._signs(), self._term()))
+        return lambda n: sum((b(n) * s for s, b in terms), MultiPoly.zero(n))
 
-    def _power(self) -> dict:
-        base = self._atom()
-        kind, text, p = self.toks.peek()
-        if kind == "op" and text == "^":
+    def _term(self) -> Builder:
+        factors = [self._power()]
+        while self._at("*"):
             self.toks.next()
-            kind, text, p = self.toks.next()
-            if kind != "num":
-                raise ParseError("exponent must be a nonnegative integer", p)
-            return _pow(base, int(text))
-        return base
+            factors.append(self._power())
+        return lambda n: reduce(operator.mul, (b(n) for b in factors))
 
-    def _atom(self) -> dict:
+    def _power(self) -> Builder:
+        base = self._atom()
+        if not self._at("^"):
+            return base
+        self.toks.next()
+        kind, text, p = self.toks.next()
+        if kind != "num":
+            raise ParseError("exponent must be a nonnegative integer", p)
+        k = int(text)
+        return lambda n: base(n) ** k
+
+    def _atom(self) -> Builder:
         kind, text, p = self.toks.next()
         if kind == "num":
-            return {(): int(text)}
+            c = int(text)
+            return lambda n: MultiPoly.const(n, c)
         if kind == "var":
             idx = int(text[1:])
             if idx < 1:
                 raise ParseError("variable indices start at x1", p)
             self.max_var = max(self.max_var, idx)
-            return {(idx,): 1}
+            return lambda n: MultiPoly.var(n, idx - 1)
         if kind == "op" and text == "(":
             inner = self._expr()
             kind, text, p = self.toks.next()
@@ -352,45 +350,10 @@ class _Parser:
                 raise ParseError("expected ')'", p)
             return inner
         if kind == "op" and text == "-":
-            return _scale(self._atom(), -1)
+            inner = self._atom()
+            return lambda n: -inner(n)
         raise ParseError(
             f"expected a number, variable, or '(' (got {text or 'end of input'!r})", p)
-
-
-# monomials keyed by sorted tuples of variable indices with repetition
-def _add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + v
-        if w == 0:
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
-
-
-def _scale(a: dict, s: int) -> dict:
-    return {k: v * s for k, v in a.items()} if s != 1 else a
-
-
-def _mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = tuple(sorted(k1 + k2))
-            w = out.get(k, 0) + v1 * v2
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-    return out
-
-
-def _pow(a: dict, e: int) -> dict:
-    out = {(): 1}
-    for _ in range(e):
-        out = _mul(out, a)
-    return out
 
 
 def parse_poly(text: str, n_vars: int | None = None) -> MultiPoly:
@@ -400,20 +363,9 @@ def parse_poly(text: str, n_vars: int | None = None) -> MultiPoly:
     Raises ParseError with the offending position on malformed input.
     """
     parser = _Parser(text)
-    mono = parser.parse()
+    build = parser.parse()
     n = parser.max_var if n_vars is None else n_vars
     if parser.max_var > n:
         raise ParseError(
             f"variable x{parser.max_var} exceeds declared count {n}", 0)
-    coeffs: dict[tuple[int, ...], int] = {}
-    for k, v in mono.items():
-        e = [0] * n
-        for idx in k:
-            e[idx - 1] += 1
-        e = tuple(e)
-        w = coeffs.get(e, 0) + v
-        if w == 0:
-            coeffs.pop(e, None)
-        else:
-            coeffs[e] = w
-    return MultiPoly(n, coeffs)
+    return build(n)

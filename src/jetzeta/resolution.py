@@ -29,8 +29,6 @@ __all__ = [
     "quasi_unipotent_period", "load_resolution",
 ]
 
-_SOURCES = ("resolution",)
-
 
 def _expect_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -182,27 +180,15 @@ def load_resolution(path: str | Path) -> ResolutionData:
 
 @dataclass(frozen=True)
 class LefschetzSequence:
-    """Lambda(M^m) for m = 1..M, tagged with how it was computed."""
+    """Lambda(M^m) for m = 1..M."""
 
     values: tuple[int, ...]
-    source: str
 
     def __post_init__(self) -> None:
-        if self.source not in _SOURCES:
-            raise MalformedDataError(f"source must be one of {_SOURCES}, got {self.source!r}")
         if not self.values:
             raise MalformedDataError("sequence must cover m = 1..M with M >= 1")
         for v in self.values:
             _expect_int(v, "Lefschetz number")
-
-    @property
-    def m_max(self) -> int:
-        return len(self.values)
-
-    def value(self, m: int) -> int:
-        if not 1 <= m <= len(self.values):
-            raise ValueError(f"m = {m} outside the covered range 1..{len(self.values)}")
-        return self.values[m - 1]
 
 
 def acampo_lefschetz(res: ResolutionData, m: int) -> int:
@@ -218,7 +204,7 @@ def acampo_lefschetz(res: ResolutionData, m: int) -> int:
 
 def acampo_sequence(res: ResolutionData, m_max: int) -> LefschetzSequence:
     return LefschetzSequence(tuple(acampo_lefschetz(res, m)
-                                   for m in range(1, m_max + 1)), "resolution")
+                                   for m in range(1, m_max + 1)))
 
 
 def denef_loeser_zeta(res: ResolutionData, d: int) -> DaggerSeries:
@@ -248,17 +234,15 @@ def denef_loeser_zeta(res: ResolutionData, d: int) -> DaggerSeries:
 def quasi_unipotent_period(seq: LefschetzSequence) -> tuple[int, int]:
     """Smallest m0 with Sum_m Lambda(M^m) T^m = Sum_{i<=m0} Lambda(M^i) T^i / (1 - T^m0).
 
-    The rational-series identity must reproduce the whole covered range, not
-    just repeat values, and at least two full periods must be visible
-    (m0 <= M/2).  Returns (m0, Lambda(M^m0)); the second entry is the Euler
-    number of the Milnor fiber.
+    The identity holds on the covered range exactly when Lambda(M^m) =
+    Lambda(M^(m - m0)) for every covered m > m0, and at least two full
+    periods must be visible (m0 <= M/2).  Returns (m0, Lambda(M^m0)); the
+    second entry is the Euler number of the Milnor fiber.
     """
     vals = seq.values
     m_max = len(vals)
-    target = [LaurentPoly.zero()] + [LaurentPoly.from_int(v) for v in vals]
     for m0 in range(1, m_max // 2 + 1):
-        num = {i: LaurentPoly.from_int(vals[i - 1]) for i in range(1, m0 + 1)}
-        if DaggerSeries(num, [(0, m0)]).expand(m_max) == target:
+        if vals[m0:] == vals[:-m0]:
             return m0, vals[m0 - 1]
     raise NoPeriodError(
         f"no period m0 <= {m_max // 2} reproduces the sequence; extend past m = {m_max}")

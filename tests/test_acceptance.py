@@ -59,9 +59,9 @@ def _origin(f) -> list[Fraction]:
 
 @lru_cache(maxsize=None)
 def _jets_chi(f_text: str, m: int) -> int:
-    """chi_c of the m-th jet locus, interpolation pool capped at 29."""
+    """chi_c of the m-th jet locus."""
     f = parse_poly(f_text)
-    return lefschetz_via_jets(f, _origin(f), m, max_prime=29)
+    return lefschetz_via_jets(f, _origin(f), m)
 
 
 def _report(k: int, msg: str) -> None:

@@ -80,8 +80,6 @@ def test_good_primes_exponent_rule():
     assert good_primes(xy, None, 10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert good_primes(sq, None, 9) == [3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert good_primes(cusp, None, 8) == [5, 7, 11, 13, 17, 19, 23, 29]
-    assert good_primes(cusp, None, 99, max_prime=29) == \
-        [5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_good_primes_coefficient_and_clearing_rules():
@@ -127,12 +125,12 @@ def test_direct_route_fixtures():
 
 def test_residue_route_fixtures():
     cusp = parse_poly("x1^2 + x2^3")
-    jc = class_of_jets(cusp, [0, 0], 3, max_prime=29)
+    jc = class_of_jets(cusp, [0, 0], 3)
     assert jc.route == "residue"
     assert jc.cls.poly == L(4, 3)
     assert jc.chi == 3
     a1 = parse_poly("x1^2 + x2^2")
-    jc2 = class_of_jets(a1, [0, 0], 2, max_prime=29)
+    jc2 = class_of_jets(a1, [0, 0], 2)
     assert jc2.route == "residue"
     assert jc2.cls.poly == L(3) + L(2, -1)
     assert jc2.chi == 0
@@ -145,7 +143,7 @@ def test_residue_route_fixtures():
 
 def test_trace_route_cusp_order_six():
     cusp = parse_poly("x1^2 + x2^3")
-    jc = class_of_jets(cusp, [0, 0], 6, max_prime=29)
+    jc = class_of_jets(cusp, [0, 0], 6)
     assert jc.route == "trace"
     assert jc.chi == -1
     assert jc.cls is None
@@ -179,7 +177,7 @@ def test_zeta_via_jets_node():
 def test_zeta_via_jets_reports_failing_term():
     cusp = parse_poly("x1^2 + x2^3")
     with pytest.raises(ClassNotPolynomialError) as e:
-        zeta_via_jets(cusp, [0, 0], 2, 6, max_prime=29)
+        zeta_via_jets(cusp, [0, 0], 2, 6)
     assert "m=6" in str(e.value)
 
 

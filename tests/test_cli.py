@@ -242,6 +242,11 @@ def test_counts_start_no_thread(capsys, monkeypatch):
 REPORT_DIGESTS = [
     (["zeta", "-f", "x1*x2", "-M", "12"],
      "6963528b3d6f592c7f4e997f107ed3a381a9c208cf3ac8bd0a740603897a224a"),
+    # recorded when count built its own prime pool and table
+    (["count", "-f", "x1^2 + x2^3", "-m", "6"],
+     "a3f1de6d165c58afb64b63e84dc9236f3a810720441560b66cb5726226d9c6a2"),
+    (["count", "-f", "x1*x2", "-m", "3"],
+     "54753ffd1bdbff0fd149b3697be9a46132d7a9b36226d2bb0ec5036ab46adb37"),
 ] + [
     (["lefschetz", "-f", poly, "-m", "1..6",
       "--resolution", str(FIXTURES / name / "resolution.json")], digest)

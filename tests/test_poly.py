@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,69 @@ def test_parse_error_positions():
         parse_poly("x1 + x2", 1)  # declared count too small
     with pytest.raises(ParseError):
         parse_poly("")
+
+
+def test_parse_error_position_first_fault():
+    # the ')' at 5 is reported, not the '$' the tokenizer would reject later
+    with pytest.raises(ParseError) as e:
+        parse_poly("x1 + ) $")
+    assert e.value.pos == 5
+    assert str(e.value) == \
+        "expected a number, variable, or '(' (got ')') (at position 5)"
+
+
+def test_parse_large_exponent_squares(monkeypatch):
+    # x1^1000000 takes about 2 log2(10^6) products, not a million
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    assert parse_poly("x1^1000000").items() == [((1000000,), 1)]
+    assert len(products) <= 2 * 20
+
+
+def _atom_text(rng: random.Random, depth: int, power: bool = True) -> str:
+    r = rng.random()
+    if r < 0.15 and power:
+        # a negated atom takes no exponent: the syntax reads -x1^2 there as
+        # (-x1)^2, Python as -(x1^2)
+        return "-" + _atom_text(rng, depth + 1, power=False)
+    if r < 0.5 or depth > 1:
+        atom = f"x{rng.randint(1, 3)}"
+    elif r < 0.8:
+        atom = str(rng.randint(0, 12))
+    else:
+        atom = "(" + _expr_text(rng, depth + 1) + ")"
+    if power and rng.random() < 0.3:
+        atom += rng.choice(["^", " ^ "]) + str(rng.randint(0, 3))
+    return atom
+
+
+def _expr_text(rng: random.Random, depth: int = 0) -> str:
+    text = rng.choice(["", "-", "+", "- -", "-+"])
+    for i in range(rng.randint(1, 3)):
+        if i:
+            text += rng.choice([" + ", " - ", "-", " - -", "+-"])
+        text += rng.choice(["*", " * "]).join(
+            _atom_text(rng, depth) for _ in range(rng.randint(1, 3)))
+    return text
+
+
+def test_parse_matches_python_arithmetic():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        text = _expr_text(rng)
+        p = parse_poly(text, 3)
+        for _ in range(3):
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(3)]
+            names = {f"x{i + 1}": x for i, x in enumerate(point)}
+            want = eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+            assert p.evaluate(point) == want, text
 
 
 def test_ring_ops():
