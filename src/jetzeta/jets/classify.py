@@ -14,6 +14,9 @@ Three routes, tried in order of directness:
   at infinity; this route yields the Euler number only, no class.
 
 Each fit verifies on held-out primes and failures are never coerced.
+When every route fails, the last one, the trace route, sets the kind of
+failure: a count out of node budget is a ResourceLimitError, any other
+failure a ClassNotPolynomialError.
 
 The interp tables of a range of orders are counted together (JetOrders),
 field by field: q ascending, and within one q every order whose prime pool
@@ -435,10 +438,14 @@ def class_of_jets(f: MultiPoly, x: Sequence, m: int,
         pass
     try:
         return _trace_route(f, sys, m, node_budget)
-    except (ClassNotPolynomialError, ResourceLimitError) as e:
+    except ClassNotPolynomialError as e:
         raise ClassNotPolynomialError(
             f"all classification routes failed for m={m}: {e}",
             table=table) from e
+    except ResourceLimitError as e:
+        # the last route ran out of budget: a resource failure, not a class
+        raise ResourceLimitError(
+            f"all classification routes failed for m={m}: {e}") from e
 
 
 def lefschetz_via_jets(f: MultiPoly, x: Sequence, m: int,

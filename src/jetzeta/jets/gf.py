@@ -16,6 +16,10 @@ matmul would take fewer numpy calls, but BLAS runs it on a second thread:
 in a trial that raised CPU time and peak memory of the extension-field
 benchmark, while the integer planes stay on one thread.
 
+LOG is filled from EXP block by block over the same blocks, LOG[EXP[t]] = t,
+with LOG[0] = -1.  A field of q elements holds 8q bytes of int32 tables,
+plus O(k * _BASE_BLOCK) bytes of temporaries while it builds.
+
 addc_v adds one field element to a vector without broadcasting it first.
 The prime subfield of an extension field is its elements below p, the
 constant polynomials, so adding one of them touches only digit 0 of each
@@ -302,6 +306,8 @@ class ExtField:
         g_block = _poly_mul_mod([int(d) for d in base[:, B - 1]], gen_digits,
                                 self.modulus, p)
         exp = np.empty(q - 1, dtype=np.int32)
+        log = np.empty(q, dtype=np.int32)
+        log[0] = -1
         planes = np.empty_like(base)
         g_t0 = one
         for t0 in range(0, q - 1, B):
@@ -314,11 +320,12 @@ class ExtField:
                 seg *= p
                 seg += block[i, :width]
             g_t0 = _poly_mul_mod(g_t0, g_block, self.modulus, p)
+        # LOG block by block from EXP: the blocks together write every slot
+        # but LOG[0], and no temporary grows with q.  A scatter inside the
+        # loop above, while each block is hot, built 7^8 more slowly.
+        for t0 in range(0, q - 1, B):
+            log[exp[t0:t0 + B]] = np.arange(t0, min(t0 + B, q - 1), dtype=np.int32)
         self.EXP = exp
-        # the scatter writes every slot but LOG[0]
-        log = np.empty(q, dtype=np.int32)
-        log[0] = -1
-        log[exp] = np.arange(q - 1, dtype=np.int32)
         self.LOG = log
         assert log[1] == 0
 
@@ -490,10 +497,12 @@ def make_field(q: int):
         if len(fac) != 1:
             raise ValueError(f"{q} is not a prime power")
         (p, k), = fac.items()
-        field = PrimeField(p) if k == 1 else ExtField(p, k)
         if q > 100_000:
-            # large table fields are heavy; keep at most one around
+            # large table fields are heavy; keep at most one around, and
+            # evict the old one before building, so that the two tables
+            # never coexist
             for key in [key for key in _FIELD_CACHE if key > 100_000]:
                 del _FIELD_CACHE[key]
+        field = PrimeField(p) if k == 1 else ExtField(p, k)
         _FIELD_CACHE[q] = field
         return field

@@ -425,3 +425,39 @@ def test_zeta_raises_the_smallest_failing_order(monkeypatch):
         (2, first_pool[-1]): ResourceLimitError("order 2 failed")})
     with pytest.raises(ResourceLimitError, match="order 2 failed"):
         zeta_via_jets(f, at, 2, 5)
+
+
+def _routes_fail(monkeypatch, residue_error, trace_error):
+    def fail(error):
+        def route(*args):
+            raise error
+        return route
+    monkeypatch.setattr(classify, "_residue_route", fail(residue_error))
+    monkeypatch.setattr(classify, "_trace_route", fail(trace_error))
+
+
+def test_trace_budget_failure_is_a_resource_failure(monkeypatch):
+    # the last route sets the kind, whatever the residue route raised
+    trace_error = ResourceLimitError("count budget exhausted")
+    _routes_fail(monkeypatch, ClassNotPolynomialError("no residue fit"),
+                 trace_error)
+    cusp = parse_poly("x1^2 + x2^3")
+    with pytest.raises(ResourceLimitError) as e:
+        class_of_jets(cusp, [0, 0], 6)
+    assert str(e.value) == ("all classification routes failed for m=6: "
+                            "count budget exhausted")
+    assert e.value.__cause__ is trace_error
+
+
+def test_trace_class_failure_stays_a_class_failure(monkeypatch):
+    trace_error = ClassNotPolynomialError("trace recurrence order 9 exceeds the cap")
+    _routes_fail(monkeypatch, ResourceLimitError("count budget exhausted"),
+                 trace_error)
+    cusp = parse_poly("x1^2 + x2^3")
+    with pytest.raises(ClassNotPolynomialError) as e:
+        class_of_jets(cusp, [0, 0], 6)
+    assert str(e.value) == ("all classification routes failed for m=6: "
+                            "trace recurrence order 9 exceeds the cap")
+    assert e.value.__cause__ is trace_error
+    # the interp table rides along
+    assert e.value.table == JetOrders(cusp, [0, 0], (6,)).interp(6)[1]

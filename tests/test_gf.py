@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +147,32 @@ def test_ext_tables_match_repeated_multiplication(p, k, block, monkeypatch):
     assert F.LOG.tolist() == log
     assert np.array_equal(F.LOG[F.EXP], np.arange(F.q - 1))
     assert F.LOG[0] == -1
+
+
+# SHA-256 of EXP.tobytes() and LOG.tobytes(), the modulus and the generator
+# of the fields past the per-element checks above, recorded from the tables
+# built by a whole-table LOG scatter, log[EXP] = arange(q - 1)
+PINNED_TABLES = {
+    (5, 8): ("80bf9390da5b13d791d01ebd1f0fc4b0d5d4fc3b726a655c307bef12b8c96238",
+             "961c0efc1d8014b53a85782ca7171c9429b6679e1b7f80c407be21362dab4615",
+             [2, 0, 0, 0, 0, 0, 0, 0, 1], 6),
+    (7, 7): ("1d07bc5f4556865e59413353f6043f8545a5ebc5b817cbda835697c3c6a2adb8",
+             "9d9f52266c9200b45657eaec0270066ff063fe5873a9eb87c8e8be68c0bd15f7",
+             [1, 6, 0, 0, 0, 0, 0, 1], 14),
+    (7, 8): ("9fbbc3fa844370945092191b62612fdf150a513da9e9009092924c64a79589f5",
+             "4d472bd6069d1f512b21f6dfc5517d3b52d70be83a1434ebc3e89a571bc4eb17",
+             [3, 1, 0, 0, 0, 0, 0, 0, 1], 7),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(PINNED_TABLES))
+def test_large_tables_pinned(p, k):
+    F = ExtField(p, k)
+    exp_sha, log_sha, modulus, generator = PINNED_TABLES[p, k]
+    assert hashlib.sha256(F.EXP.tobytes()).hexdigest() == exp_sha
+    assert hashlib.sha256(F.LOG.tobytes()).hexdigest() == log_sha
+    assert F.modulus == modulus
+    assert F.generator == generator
 
 
 @pytest.mark.parametrize("p,k", [(3, 11), (257, 2)])
@@ -299,6 +327,38 @@ def test_make_field_from_threads():
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert len([q for q in gf._FIELD_CACHE if q > 100_000]) == 1
+
+
+def test_ext_table_build_memory():
+    # LOG is filled block by block: the build holds EXP, LOG and temporaries
+    # of O(k * _BASE_BLOCK), where a whole-table scatter held 24 MB more;
+    # tracemalloc sees numpy buffers
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        F = ExtField(7, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base - F.EXP.nbytes - F.LOG.nbytes < 6 << 20
+
+
+def test_make_field_frees_the_old_large_field_first():
+    # the 7^7 tables are evicted before the 7^8 build starts, so the two
+    # never coexist
+    gf._FIELD_CACHE.clear()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        make_field(7 ** 7)
+        tracemalloc.reset_peak()
+        F = make_field(7 ** 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gf._FIELD_CACHE.clear()
+    assert peak - base - F.EXP.nbytes - F.LOG.nbytes < 6 << 20
 
 
 def test_field_size_budget():
