@@ -5,10 +5,13 @@ Three routes, tried in order of directness:
 * direct interpolation over the smallest good primes (n_jet_vars + 3 of
   them unless a prime budget says otherwise), for counts that are one
   polynomial in q;
-* residue stratification: counts that are polynomial on each class of
-  q modulo D (D = lcm of 24 and the exponents of f) get a per-class fit,
-  and the q = 1 (mod D) class, where all the relevant roots of unity are
-  rational, carries the class;
+* residue route: counts over the primes q = 1 (mod D), D the lcm of 24
+  and the exponents of f, get one fit.  These are the fields that
+  Z[zeta_D, 1/N] maps to, where every relevant root of unity is rational;
+  by Katz's theorem (appendix to Hausel and Rodriguez-Villegas, Invent.
+  Math. 174, 2008) a polynomial P that counts the points over all of them
+  is the E-polynomial in xy, so chi_c = P(1), and the other classes of q
+  modulo D are never needed;
 * trace recurrence: counts over an extension tower p, p^2, ... satisfy a
   linear recurrence whose generating function evaluates the Euler number
   at infinity; this route yields the Euler number only, no class.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from ..algebra.dagger import DaggerSeries, SeriesPrefix, ds_fit, ds_limit
@@ -116,13 +119,13 @@ class JetClass:
 
 
 def good_primes(f: MultiPoly, sys: JetConstraintSystem | None, count: int,
-                *, residue: int | None = None,
-                modulus: int | None = None) -> list[int]:
+                *, modulus: int | None = None) -> list[int]:
     """Smallest primes safe for counting this germ, ascending.
 
     Excluded: primes not exceeding the largest exponent of f, primes
     dividing a coefficient (or a coefficient denominator), and primes
-    dividing a denominator cleared by the base-point translation.
+    dividing a denominator cleared by the base-point translation.  With a
+    modulus, only primes p = 1 (mod modulus) are taken.
     """
     banned: set[int] = set(sys.bad_primes()) if sys is not None else set()
     for _, v in f.items():
@@ -137,7 +140,7 @@ def good_primes(f: MultiPoly, sys: JetConstraintSystem | None, count: int,
         if p > _PRIME_SEARCH_CAP:
             raise ResourceLimitError("prime pool search cap exceeded")
         if is_prime(p) and p > min_exp and p not in banned and \
-                (modulus is None or p % modulus == residue):
+                (modulus is None or p % modulus == 1):
             out.append(p)
         p += 1
     return out
@@ -304,20 +307,10 @@ def _residue_modulus(f: MultiPoly) -> int:
 
 def _residue_route(f: MultiPoly, sys: JetConstraintSystem, m: int,
                    bound: int, node_budget: int) -> JetClass:
-    D = _residue_modulus(f)
-    per_class = bound + 3
-    split_table: CountTable | None = None
-    split_cls: ClassPoly | None = None
-    for sigma in range(1, D):
-        if gcd(sigma, D) != 1:
-            continue
-        pool = good_primes(f, sys, per_class, residue=sigma, modulus=D)
-        table = collect_counts(sys, pool, node_budget)
-        cls = _fit_minimal(table, bound)
-        if sigma == 1:
-            split_table, split_cls = table, cls
-    assert split_cls is not None and split_table is not None
-    return JetClass(m, split_cls.at_one(), split_cls, "residue", split_table)
+    pool = good_primes(f, sys, bound + 3, modulus=_residue_modulus(f))
+    table = collect_counts(sys, pool, node_budget)
+    cls = _fit_minimal(table, bound)
+    return JetClass(m, cls.at_one(), cls, "residue", table)
 
 
 def _berlekamp_massey(seq: Sequence[int]) -> list[Fraction]:

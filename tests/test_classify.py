@@ -92,7 +92,7 @@ def test_good_primes_coefficient_and_clearing_rules():
 
 def test_good_primes_residue_filter():
     f = parse_poly("x1*x2")
-    ps = good_primes(f, None, 4, residue=1, modulus=24)
+    ps = good_primes(f, None, 4, modulus=24)
     assert ps == [73, 97, 193, 241]
     assert all(p % 24 == 1 for p in ps)
 
@@ -287,7 +287,7 @@ def test_fit_minimal_matches_lagrange_per_degree(data):
     assert _fit_minimal(table, bound) == want
 
 
-# -- reach: three-variable germs and A1 past m = 6 ---------------------------
+# -- reach: Brieskorn-Pham germs and A1 past m = 6 --------------------------
 
 def _brieskorn_pham(exponents: list[int], m: int) -> int:
     # Lambda(M^m) = 1 + (-1)^(n-1) prod_i (a_i [a_i | m] - 1)
@@ -298,10 +298,19 @@ def _brieskorn_pham(exponents: list[int], m: int) -> int:
 @pytest.mark.parametrize("text, exponents", [
     ("x1^2 + x2^2 + x3^2", [2, 2, 2]),
     ("x1^2 + x2^2 + x3^3", [2, 2, 3]),
+    # two-variable germs whose residue rows (m = 3, 4 or 5) fit one pool
+    ("x1^2 + x2^5", [2, 5]),
+    ("x1^3 + x2^4", [3, 4]),
+    ("x1^3 + x2^5", [3, 5]),
+    # A3 at m = 4 fits no route within reach: the trace route needs 7^9
+    pytest.param("x1^2 + x2^4", [2, 4], marks=pytest.mark.xfail(
+        strict=True, raises=ResourceLimitError,
+        reason="m=4: field of size 40353607 exceeds the table budget")),
 ])
 def test_three_variable_brieskorn_pham(text, exponents):
     f = parse_poly(text)
-    got = [lefschetz_via_jets(f, [0, 0, 0], m) for m in range(1, 6)]
+    at = [0] * len(exponents)
+    got = [lefschetz_via_jets(f, at, m) for m in range(1, 6)]
     assert got == [_brieskorn_pham(exponents, m) for m in range(1, 6)]
 
 
@@ -346,6 +355,20 @@ def _spy_counts(monkeypatch, fail=None):
 
     monkeypatch.setattr(classify, "count_points", spy)
     return calls
+
+
+def test_residue_route_counts_one_pool(monkeypatch):
+    f, at = _fixture_germ("a1")
+    interp = list(JetOrders(f, at, (2,)).interp(2)[1].primes)
+    calls = _spy_counts(monkeypatch)
+    jc = class_of_jets(f, at, 2)
+    assert jc.route == "residue"
+    # after the interp table that does not fit, one pool of q = 1 (mod 24):
+    # the table the route returns
+    qs = [q for _, q, _ in calls]
+    assert qs == interp + list(jc.table.primes)
+    assert len(jc.table) == build_jet_system(f, at, 2).n_jet_vars + 3
+    assert all(q % 24 == 1 for q in jc.table.primes)
 
 
 def test_field_major_order_and_one_memo_per_field(monkeypatch):

@@ -248,6 +248,11 @@ REPORT_DIGESTS = [
      "a3f1de6d165c58afb64b63e84dc9236f3a810720441560b66cb5726226d9c6a2"),
     (["count", "-f", "x1*x2", "-m", "3"],
      "54753ffd1bdbff0fd149b3697be9a46132d7a9b36226d2bb0ec5036ab46adb37"),
+    # recorded when the residue route counted every class of q mod D
+    (["lefschetz", "-f", "x1^2 + x2^2 + x3^3", "-m", "1..6"],
+     "dd78122046833a0682dddb9934e0d13d2eab302802bababdd33c786c808b9782"),
+    (["zeta", "-f", "x1^2 + x2^2", "-M", "8"],
+     "fcf06bc2e521aeaa1eb892e9bd48169bfd478c9384cbb6010b37c8b08f783977"),
 ] + [
     (["lefschetz", "-f", poly, "-m", "1..6",
       "--resolution", str(FIXTURES / name / "resolution.json")], digest)
