@@ -24,6 +24,7 @@ from .errors import (FitFailure, JetzetaError, LimitMismatchError,
 from .gamma.cells import PolySet, alpha_m, chi, chi_bounded
 from .gamma.zeta import AffineFormPW, zeta_polytope
 from .jets.classify import JetOrders, class_of_jets, zeta_via_jets
+from .jets.count import NODE_BUDGET
 from .jets.poly import MultiPoly, parse_poly
 from .resolution import (ResolutionData, acampo_lefschetz, acampo_sequence,
                          load_resolution, quasi_unipotent_period)
@@ -32,8 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DISAGREE = 3
 EXIT_RESOURCE = 4
-
-_DEFAULT_NODE_BUDGET = 10 ** 9
 
 # a command returns its JSON report, the human-readable lines, and an exit code
 Outcome = tuple[dict, list[str], int]
@@ -50,7 +49,7 @@ class RunConfig:
     m_hi: int = 1
     terms: int | None = None
     primes: int | None = None
-    node_budget: int = _DEFAULT_NODE_BUDGET
+    node_budget: int = NODE_BUDGET
     resolution: str | None = None
     action: str | None = None
     data: str | None = None
@@ -360,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="single m or LO..HI")
         p.add_argument("--primes", type=int, default=None,
                        help="prime budget per interpolation")
-        p.add_argument("--node-budget", type=int, default=_DEFAULT_NODE_BUDGET,
+        p.add_argument("--node-budget", type=int, default=NODE_BUDGET,
                        help="recursion work cap per point count (a "
                             "subsystem an earlier order solved over the same "
                             "field is free); exhausting it exits with code 4")
@@ -408,7 +407,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         m_lo=m_lo, m_hi=m_hi,
         terms=getattr(args, "terms", None),
         primes=getattr(args, "primes", None),
-        node_budget=getattr(args, "node_budget", _DEFAULT_NODE_BUDGET),
+        node_budget=getattr(args, "node_budget", NODE_BUDGET),
         resolution=getattr(args, "resolution", None),
         action=getattr(args, "action", None),
         data=getattr(args, "data", None),

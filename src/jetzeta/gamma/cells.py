@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd
+from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
 from ..algebra.dagger import DaggerSeries
@@ -56,6 +56,18 @@ def _coerce_row(row, n: int) -> Row:
     if len(coeffs) != n:
         raise ValueError("row length does not match ambient dimension")
     return coeffs, _frac(rhs)
+
+
+def _inside(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+    """A point of the interval between lo and hi, None for an open end:
+    the midpoint, lo + 1, hi - 1 or 0."""
+    if lo is not None and hi is not None:
+        return (lo + hi) / 2
+    if lo is not None:
+        return lo + 1
+    if hi is not None:
+        return hi - 1
+    return Fraction(0)
 
 
 def _json_rat(x: Fraction):
@@ -111,15 +123,7 @@ class RationalCell:
         for i in range(self.n):
             eqs = list(self.eq) + [(unit(j), v) for j, v in enumerate(fixed)]
             lo, _, hi, _ = elim.coord_bounds(self.n, eqs, self._ineq_rows(), i)
-            if lo is not None and hi is not None:
-                v = lo if lo == hi else (lo + hi) / 2
-            elif lo is not None:
-                v = lo + 1
-            elif hi is not None:
-                v = hi - 1
-            else:
-                v = Fraction(0)
-            fixed.append(v)
+            fixed.append(_inside(lo, hi))
         return tuple(fixed)
 
     def to_json(self) -> dict:
@@ -268,14 +272,7 @@ def _axis_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
                 lt.append((unit(j, -1), -lo))
             if hi is not None:
                 lt.append((unit(j, 1), hi))
-            if lo is not None and hi is not None:
-                sample.append((lo + hi) / 2)
-            elif lo is not None:
-                sample.append(lo + 1)
-            elif hi is not None:
-                sample.append(hi - 1)
-            else:
-                sample.append(Fraction(0))
+            sample.append(_inside(lo, hi))
         faces.append(Face(RationalCell(n, tuple(eq), tuple(lt), ()),
                           dim, tuple(sample), combo))
     return faces
@@ -284,20 +281,9 @@ def _axis_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
 def _hyperplane_key(coeffs: Sequence[int], rhs: Fraction) -> Row:
     """Canonical (coeffs, rhs): primitive integer data with the first
     nonzero coefficient positive."""
-    den = rhs.denominator
-    ints = [c * den for c in coeffs]
-    r = rhs.numerator
-    g = gcd(*(abs(v) for v in ints), abs(r))
-    if g > 1:
-        ints = [v // g for v in ints]
-        r //= g
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-                r = -r
-            break
-    return tuple(ints), Fraction(r)
+    ints, r, _ = elim._normalize(coeffs, rhs, False)
+    sign = -1 if next(v for v in ints if v) < 0 else 1
+    return tuple(int(sign * v) for v in ints), sign * r
 
 
 def _row_reduce(mat: list[list[Fraction]], cols: int) -> int:

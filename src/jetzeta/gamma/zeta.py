@@ -75,7 +75,7 @@ class AffineFormPW:
         p = tuple(_frac(x) for x in point)
         for guard, a, b in self.pieces:
             if guard.contains(p):
-                return sum((ai * xi for ai, xi in zip(a, p)), Fraction(b))
+                return _form_value(a, b, p)
         raise ValueError("point not covered by any form piece")
 
     def to_json(self) -> dict:
@@ -182,6 +182,7 @@ def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
 def _closure_vertices(cell: RationalCell) -> list[tuple[Fraction, ...]]:
     rows = list(cell.eq) + list(cell.lt) + list(cell.le)
     n = cell.n
+    closure = RationalCell(n, cell.eq, (), (*cell.lt, *cell.le))
     seen = set()
     out = []
     for combo in combinations(rows, n):
@@ -192,9 +193,7 @@ def _closure_vertices(cell: RationalCell) -> list[tuple[Fraction, ...]]:
         v = tuple(row[n] / row[i] for i, row in enumerate(mat))
         if v in seen:
             continue
-        dot = lambda c: sum(ci * xi for ci, xi in zip(c, v))
-        if (all(dot(c) == d for c, d in cell.eq)
-                and all(dot(c) <= d for c, d in (*cell.lt, *cell.le))):
+        if closure.contains(v):
             seen.add(v)
             out.append(v)
     return out

@@ -12,9 +12,10 @@ Three routes, tried in order of directness:
   Math. 174, 2008) a polynomial P that counts the points over all of them
   is the E-polynomial in xy, so chi_c = P(1), and the other classes of q
   modulo D are never needed;
-* trace recurrence: counts over an extension tower p, p^2, ... satisfy a
-  linear recurrence whose generating function evaluates the Euler number
-  at infinity; this route yields the Euler number only, no class.
+* trace recurrence: counts N_k over an extension tower p, p^2, ... satisfy
+  a linear recurrence, and by the Grothendieck-Lefschetz trace formula
+  chi = N_0, the term the recurrence gives one step before N_1; this route
+  yields the Euler number only, no class.
 
 Each fit verifies on held-out primes and failures are never coerced.
 When every route fails, the last one, the trace route, sets the kind of
@@ -50,7 +51,7 @@ from typing import Sequence
 from ..algebra.dagger import DaggerSeries, SeriesPrefix, ds_fit, ds_limit
 from ..algebra.laurent import LaurentPoly
 from ..errors import ClassNotPolynomialError, ResourceLimitError
-from .count import count_points
+from .count import NODE_BUDGET, count_points
 from .gf import factorize, is_prime
 from .poly import MultiPoly
 from .system import JetConstraintSystem, build_jet_system
@@ -174,7 +175,7 @@ def _count_by_field(jobs: Sequence[tuple[JetConstraintSystem, Sequence[int]]],
 
 
 def collect_counts(sys: JetConstraintSystem, qs: Sequence[int],
-                   node_budget: int = 1_000_000_000) -> CountTable:
+                   node_budget: int = NODE_BUDGET) -> CountTable:
     """Count table of one system over the fields qs, in the order of qs."""
     (table,) = _count_by_field([(sys, qs)], node_budget)
     if isinstance(table, Exception):
@@ -194,7 +195,7 @@ class JetOrders:
 
     def __init__(self, f: MultiPoly, x: Sequence, ms: Sequence[int],
                  prime_budget: int | None = None, *,
-                 node_budget: int = 1_000_000_000):
+                 node_budget: int = NODE_BUDGET):
         self._f = f
         self._x = x
         self._ms = tuple(ms)
@@ -346,25 +347,22 @@ def _berlekamp_massey(seq: Sequence[int]) -> list[Fraction]:
 
 def _chi_from_recurrence(seq: Sequence[int], rec: Sequence[Fraction],
                          table: CountTable) -> int:
-    """Euler number as minus the t = infinity value of sum N_k t^k."""
+    """Euler number as N_0, the term the recurrence gives before N_1.
+
+    By the Grothendieck-Lefschetz trace formula N_k = sum (-1)^i
+    Tr(F^k | H^i_c), so the recurrence holds down to k = 0, where the sum
+    is the Euler number: N_r = sum_(i<r) rec[i-1] N_(r-i) + rec[r-1] N_0.
+    """
     r = len(rec)
-    if r == 0:
-        if any(seq):
-            raise ClassNotPolynomialError(
-                "empty recurrence for a nonzero count sequence", table=table)
+    # only the zero sequence has the empty recurrence, and its N_0 is 0
+    top = seq[r - 1] - sum(rec[i - 1] * seq[r - 1 - i]
+                           for i in range(1, r)) if r else 0
+    if top == 0:
         return 0
-    A = []
-    for k in range(1, r + 1):
-        a = Fraction(seq[k - 1])
-        for i in range(1, k):
-            a -= rec[i - 1] * seq[k - 1 - i]
-        A.append(a)
-    if all(a == 0 for a in A):
-        return 0
-    deg_a = max(k for k, a in enumerate(A, start=1) if a != 0)
-    if deg_a < r:
-        return 0
-    chi = A[r - 1] / rec[r - 1]
+    if rec[r - 1] == 0:
+        raise ClassNotPolynomialError(
+            "trace recurrence ends in 0, so it gives no N_0", table=table)
+    chi = top / rec[r - 1]
     if chi.denominator != 1:
         raise ClassNotPolynomialError(
             f"trace route produced non-integer Euler number {chi}",
@@ -407,7 +405,7 @@ def _trace_route(f: MultiPoly, sys: JetConstraintSystem, m: int,
 
 def class_of_jets(f: MultiPoly, x: Sequence, m: int,
                   prime_budget: int | None = None, *,
-                  node_budget: int = 1_000_000_000,
+                  node_budget: int = NODE_BUDGET,
                   orders: JetOrders | None = None) -> JetClass:
     """Classify one jet order, falling through the three routes.
 
@@ -419,12 +417,11 @@ def class_of_jets(f: MultiPoly, x: Sequence, m: int,
         orders = JetOrders(f, x, (m,), prime_budget, node_budget=node_budget)
     sys, table = orders.interp(m)
     bound = sys.n_jet_vars
-    if len(table) >= 3:
-        try:
-            cls = _fit_minimal(table, bound)
-            return JetClass(m, cls.at_one(), cls, "interp", table)
-        except ClassNotPolynomialError:
-            pass
+    try:
+        cls = _fit_minimal(table, bound)
+        return JetClass(m, cls.at_one(), cls, "interp", table)
+    except ClassNotPolynomialError:
+        pass
     try:
         return _residue_route(f, sys, m, bound, node_budget)
     except (ClassNotPolynomialError, ResourceLimitError):
@@ -443,7 +440,7 @@ def class_of_jets(f: MultiPoly, x: Sequence, m: int,
 
 def lefschetz_via_jets(f: MultiPoly, x: Sequence, m: int,
                        prime_budget: int | None = None, *,
-                       node_budget: int = 1_000_000_000) -> int:
+                       node_budget: int = NODE_BUDGET) -> int:
     """Euler number of the order-m jet locus, equal to the Lefschetz
     number of the m-th monodromy power."""
     return class_of_jets(f, x, m, prime_budget, node_budget=node_budget).chi
@@ -451,7 +448,7 @@ def lefschetz_via_jets(f: MultiPoly, x: Sequence, m: int,
 
 def zeta_via_jets(f: MultiPoly, x: Sequence, d: int, M: int,
                   prime_budget: int | None = None, *,
-                  node_budget: int = 1_000_000_000) -> SeriesPrefix:
+                  node_budget: int = NODE_BUDGET) -> SeriesPrefix:
     """Prefix [0, c_1, ..., c_M] of the motivic zeta series, c_m the class
     of the order-m jet locus normalized by L^(-m*d)."""
     terms: SeriesPrefix = [LaurentPoly.zero()]

@@ -90,13 +90,13 @@ budget nothing, whichever count made it; the budget caps the work one
 count does itself.
 
 Vector evaluation never materialises a constant: evaluate_vec starts from
-its first non-constant term and adds the constant term last with addc_v,
-and the private grid's quadratic root count keeps constant coefficients as
-field scalars, so the trace route's v^2 = g(w) leaves need no vector
-addition at all.  With a constant A and no linear term the quadratic
-character factors, chi2(-4A*C) = chi2(-4A)*chi2(C), so C is not scaled
-either.  A first power v^1 reads v's coordinates as they are, with no
-pow_v.
+its first non-constant term and adds the constant term last with addc_v.
+The private grid's quadratic root count A v^2 + B v + C keeps a constant
+A as a field scalar when B = 0, the trace route's v^2 = g(w) leaves: the
+quadratic character factors, chi2(-4A*C) = chi2(-4A)*chi2(C), so C is not
+scaled and no vector addition runs.  Every other case broadcasts its
+constant coefficients to vectors and counts with the vector operations.
+A first power v^1 reads v's coordinates as they are, with no pow_v.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ from .gf import ExtField, make_field
 from .system import JetConstraintSystem
 
 GRID_CAP = 2_000_000
+# default work cap of one count_points call, shared by every caller
+NODE_BUDGET = 10 ** 9
 _CHUNK = 1 << 17
 
 
@@ -399,35 +401,13 @@ def _uni_roots(eq: FP, v: int, budget: _Budget) -> list[int]:
             for x in coords[v]]
 
 
-# A value at the points is a vector, or a field scalar when it is the same
-# at every point; scalars never become vectors.
-
 def _values(p: FP | None, coords: Mapping[int, np.ndarray], npoints: int):
-    """p at the points; 0 for an absent p."""
+    """p at the points, or the field scalar when p is constant; 0 for an
+    absent p.  Only the constant-A, B = 0 quadratic count keeps scalars."""
     if p is None:
         return 0
     k = p.const_value()
     return p.evaluate_vec(coords, npoints) if k is None else k
-
-
-def _mul(F, x, y):
-    if not isinstance(x, np.ndarray):
-        x, y = y, x
-    if not isinstance(x, np.ndarray):
-        return F.mul(x, y)
-    if isinstance(y, np.ndarray):
-        return F.mul_v(x, y)
-    return F.mulc_v(x, y) if y else 0
-
-
-def _add(F, x, y):
-    if not isinstance(x, np.ndarray):
-        x, y = y, x
-    if not isinstance(x, np.ndarray):
-        return F.add(x, y)
-    if isinstance(y, np.ndarray):
-        return F.add_v(x, y)
-    return F.addc_v(x, y) if y else x
 
 
 def _quad_root_count(by: Mapping[int, FP], coords: Mapping[int, np.ndarray],
@@ -440,21 +420,18 @@ def _quad_root_count(by: Mapping[int, FP], coords: Mapping[int, np.ndarray],
     and a constant A the character splits, chi2(-4A) * chi2(C), so C is
     never scaled.
     """
-    q = F.q
     A, B, C = (_values(by.get(d), coords, npoints) for d in (2, 1, 0))
     if (isinstance(C, np.ndarray) and not isinstance(A, np.ndarray) and A
             and not isinstance(B, np.ndarray) and not B):
         chi_a = F.chi2(F.mul(A, F.neg(F.from_int(4))))
         return npoints + chi_a * int(F.chi2_v(C).sum())
-    disc = _add(F, _mul(F, B, B),
-                _mul(F, _mul(F, A, F.neg(F.from_int(4))), C))
-    chi = F.chi2_v(disc) if isinstance(disc, np.ndarray) else F.chi2(disc)
-    if isinstance(A, np.ndarray) or not A:
-        counts = np.where(A != 0, 1 + chi,
-                          np.where(B != 0, 1, np.where(C == 0, q, 0)))
-        return int(np.broadcast_to(counts, (npoints,)).sum())
-    # a nonzero constant A makes every point quadratic
-    return npoints + int(np.broadcast_to(chi, (npoints,)).sum())
+    A, B, C = (x if isinstance(x, np.ndarray)
+               else np.full(npoints, x, dtype=np.int64) for x in (A, B, C))
+    disc = F.add_v(F.mul_v(B, B),
+                   F.mul_v(F.mulc_v(A, F.neg(F.from_int(4))), C))
+    counts = np.where(A != 0, 1 + F.chi2_v(disc),
+                      np.where(B != 0, 1, np.where(C == 0, F.q, 0)))
+    return int(counts.sum())
 
 
 def _sweep_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
@@ -811,7 +788,7 @@ def _solve_uncached(work: list[FP], used: set, F, budget: _Budget) -> int:
 
 
 def count_points(sys: JetConstraintSystem, q: int,
-                 node_budget: int = 1_000_000_000,
+                 node_budget: int = NODE_BUDGET,
                  memo: dict | None = None) -> int:
     """Number of F_q points of the level system; exact.
 

@@ -14,7 +14,8 @@ import jetzeta.jets.classify as classify
 from jetzeta.algebra.laurent import LaurentPoly
 from jetzeta.errors import ClassNotPolynomialError, ResourceLimitError
 from jetzeta.jets.classify import (ClassPoly, CountTable, JetOrders,
-                                   _berlekamp_massey, _fit_minimal,
+                                   _berlekamp_massey, _chi_from_recurrence,
+                                   _fit_minimal,
                                    class_of_jets, collect_counts, good_primes,
                                    interpolate_class, lefschetz_via_jets,
                                    milnor_fiber_limit, zeta_via_jets)
@@ -106,6 +107,29 @@ def test_berlekamp_massey():
     mixed = [2 ** k + 3 ** k - 1 for k in range(1, 9)]
     assert _berlekamp_massey(mixed) == [Fraction(6), Fraction(-11),
                                         Fraction(6)]
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9).filter(bool),
+                          st.integers(-5, 5).filter(bool)),
+                max_size=4, unique_by=lambda t: t[0]))
+def test_chi_is_n0(terms):
+    # N_k = sum m_i alpha_i^k, as the trace formula gives, so N_0 = sum m_i
+    r = len(terms)
+    seq = [sum(m * a ** k for a, m in terms) for k in range(1, 2 * r + 3)]
+    chi = _chi_from_recurrence(seq, _berlekamp_massey(seq), CountTable(()))
+    assert chi == sum(m for _, m in terms)
+    zero = [0] * (2 * r + 2)
+    assert _chi_from_recurrence(zero, _berlekamp_massey(zero),
+                                CountTable(())) == 0
+
+
+def test_chi_zero_last_coefficient_is_a_class_error():
+    # the recurrence N_k = 0 * N_(k-1) cannot be run back to N_0
+    seq = [3, 0, 0, 0, 0]
+    with pytest.raises(ClassNotPolynomialError):
+        _chi_from_recurrence(seq, _berlekamp_massey(seq), CountTable(()))
 
 
 def test_direct_route_fixtures():

@@ -11,7 +11,7 @@ import pytest
 
 import jetzeta.jets.classify as classify
 from jetzeta.cli import main
-from jetzeta.errors import ResourceLimitError
+from jetzeta.errors import ClassNotPolynomialError, ResourceLimitError
 from jetzeta.gamma.cells import PolySet
 from jetzeta.jets.count import count_points
 
@@ -159,7 +159,7 @@ def test_fixture_of_another_dimension_exits_2(capsys, argv, d, n):
                    f"polynomial has {n} variables\n")
 
 
-def test_bad_inputs_exit_2(capsys):
+def test_bad_inputs_exit_2(capsys, tmp_path):
     assert main(["lefschetz", "-f", "x1^2", "-m", "3..1"]) == 2
     capsys.readouterr()
     assert main(["lefschetz", "-f", "x1^2", "--at", "0,0", "-m", "1"]) == 2
@@ -170,6 +170,41 @@ def test_bad_inputs_exit_2(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+    # each of these prints one error line, not a traceback
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{not json")
+    short_row = tmp_path / "short.json"
+    short_row.write_text(json.dumps(
+        {"set": {"dim": 2, "cells": [{"le": [[1, 0]]}]}}))
+    for argv in (["lefschetz", "-f", "x1^2", "-m", "x"],
+                 ["lefschetz", "-f", "x1^2", "--at", "1/0", "-m", "1"],
+                 ["polytope", "chi", str(tmp_path / "missing.json")],
+                 ["polytope", "chi", str(not_json)],
+                 ["polytope", "chi", str(short_row)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_class_error_row_exits_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ClassNotPolynomialError("no fit")
+
+    monkeypatch.setattr(classify, "_residue_route", fail)
+    monkeypatch.setattr(classify, "_trace_route", fail)
+    code, rep = run_json(capsys, ["lefschetz", "-f", "x1^2 + x2^3", "-m", "6"])
+    assert code == 2
+    (row,) = rep["rows"]
+    assert row["error_kind"] == "class" and "chi" not in row
+
+
+def test_acampo_too_short_for_a_period(capsys):
+    code, rep = run_json(capsys, [
+        "acampo", "--resolution", str(FIXTURES / "cusp" / "resolution.json"),
+        "-m", "1..2"])
+    assert code == 0
+    assert [r["lambda"] for r in rep["rows"]] == [0, 2]
+    assert "m0" not in rep
 
 
 def test_resource_limit_exit_4(capsys):

@@ -150,10 +150,28 @@ def test_unreducible_over_large_field():
     assert count_points(sys, 5) == naive_count(sys, 5)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_polynomial_coefficient_split_on_a_real_germ(q, monkeypatch):
+    # x1*x2*x3 is the germ whose level systems reach the linear variable
+    # with a polynomial coefficient, the only caller of cleared_substitute
+    calls = []
+    cleared = FP.cleared_substitute
+
+    def spy(self, *args):
+        calls.append(args[0])
+        return cleared(self, *args)
+
+    monkeypatch.setattr(FP, "cleared_substitute", spy)
+    sys = _sys("x1*x2*x3", [0, 0, 0], 4)
+    assert count_points(sys, q) == naive_count(sys, q)
+    assert calls
+
+
 def test_large_prime_beyond_grid_cap():
-    # A1 at m=6 ends in two-variable forms that only the line rules count
-    # once q^2 exceeds the grid cap; 2017 = 1 mod 24 lies in the residue
-    # class whose fit (on primes up to 1009) carries the class
+    # A1 at m=6 takes neither line rule: the block-linear rule and the
+    # two-variable private grid, a scan of q points, count it past the grid
+    # cap; 2017 = 1 mod 24 lies in the residue pool whose fit (on primes up
+    # to 1009) carries the class
     f = parse_poly("x1^2 + x2^2")
     q = 2017
     assert q % 24 == 1 and q * q > GRID_CAP
