@@ -23,11 +23,19 @@ Numerators are dicts t-exponent -> LaurentPoly without zero entries, and
 every sum of them goes through one merge, _merged.  Dense work on T-prefixes
 runs through one recurrence pair for the factor 1 - L^a T^b: dividing is
 c_m += L^a * c_(m-b) in ascending m, multiplying is c_m -= L^a * c_(m-b) in
-descending m.  Expansion and exact division use the first; fitting and the
-Hadamard numerator clear denominators with the second, through _cleared.
-Both run on rows of plain {exponent: coefficient} maps changed in place,
-and each row becomes a LaurentPoly once, at the end; so does the sparse
-product by factors that brings sums to a common denominator.
+descending m.  Expansion and exact division use the first; fitting, the
+Hadamard numerator and the products by factors that bring sums to a common
+denominator use the second.
+
+The recurrences run on packed rows: a T-prefix is a list of Kronecker-packed
+ints (laurent._pack, L -> 2^width) with a list of per-row L-exponent
+offsets, so each step is one big-integer shift-add.  Each call packs once
+and unpacks once, with one digit width, found by running the same
+recurrences on the rows' l1 norms (n_m += n_(m-b)) and adding 2 bits: that
+bounds every coefficient met in either direction, so every zero test on a
+packed row and every unpacked row is exact.  A row's offset moves down only
+when a shifted source lands below it, and the row is then rebased by a left
+shift, so every shift is a left shift and no row carries zero padding.
 """
 
 from __future__ import annotations
@@ -39,11 +47,13 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from ..errors import FitFailure, LimitUndefined, ResourceLimitError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _digit_width, _pack, _unpack
 
 # denominator factor: a pair (a, b) meaning 1 - L^a T^b
 Factor = tuple[int, int]
 SeriesPrefix = list[LaurentPoly]
+
+_ZERO = LaurentPoly()
 
 _FIT_SUBSET_BUDGET = 250_000
 # trailing cleared coefficients that must vanish for a fit to be accepted;
@@ -78,48 +88,128 @@ def _merged(items: Iterable[tuple[int, LaurentPoly]]) -> dict[int, LaurentPoly]:
     return out
 
 
+# -- packed T-prefixes: rows xs[m] with L-exponent offsets offs[m] ----------
+
+def _rows(num: dict[int, LaurentPoly], lo: int, hi: int) -> list[LaurentPoly]:
+    """The numerator's coefficients of T^lo .. T^hi, zeros included."""
+    return list(map(num.get, range(lo, hi + 1), itertools.repeat(_ZERO)))
+
+
+def _norms(rows: Iterable[LaurentPoly]) -> list[int]:
+    return [sum(map(abs, c._c.values())) if c._c else 0 for c in rows]
+
+
+def _grown(norms: list[int], factors: Iterable[Factor], divide: bool) -> list[int]:
+    """The norms after the factor recurrences, n_m += n_(m-b) in the order the
+    division (ascending m) or multiplication (descending m) runs: a bound on
+    every coefficient those recurrences meet."""
+    n = list(norms)
+    for _, b in factors:
+        for m in (range(b, len(n)) if divide else range(len(n) - 1, b - 1, -1)):
+            n[m] += n[m - b]
+    return n
+
+
+def _width(*norms: list[int]) -> int:
+    return _digit_width(max(map(max, norms)))
+
+
+def _packed(rows: Sequence[LaurentPoly], width: int) -> tuple[list[int], list[int]]:
+    xs, offs = [0] * len(rows), [0] * len(rows)
+    for m, c in enumerate(rows):
+        if c._c:
+            offs[m] = low = min(c._c)
+            xs[m] = _pack(c._c, low, width)
+    return xs, offs
+
+
+def _unpacked(xs: Sequence[int], offs: Sequence[int], width: int,
+              lo: int = 0) -> dict[int, LaurentPoly]:
+    """The nonzero packed rows as {lo + row index: LaurentPoly}."""
+    return {lo + m: LaurentPoly._raw(_unpack(x, off, width))
+            for m, (x, off) in enumerate(zip(xs, offs)) if x}
+
+
+def _unpacked_row(x: int, off: int, width: int) -> LaurentPoly:
+    return LaurentPoly._raw(_unpack(x, off, width)) if x else LaurentPoly()
+
+
+def _divide_by_factor(xs: list[int], offs: list[int], width: int,
+                      a: int, b: int) -> None:
+    """xs <- xs / (1 - L^a T^b) on a packed T-prefix, in place."""
+    for m in range(b, len(xs)):
+        src = xs[m - b]
+        if src:
+            low = offs[m - b] + a
+            x = xs[m]
+            if not x:
+                xs[m], offs[m] = src, low
+            elif low >= offs[m]:
+                xs[m] = x + (src << width * (low - offs[m]))
+            else:
+                xs[m], offs[m] = (x << width * (offs[m] - low)) + src, low
+
+
+def _multiply_by_factor(xs: list[int], offs: list[int], width: int,
+                        a: int, b: int) -> None:
+    """xs <- xs * (1 - L^a T^b) on a packed T-prefix, in place."""
+    for m in range(len(xs) - 1, b - 1, -1):
+        src = xs[m - b]
+        if src:
+            low = offs[m - b] + a
+            x = xs[m]
+            if not x:
+                xs[m], offs[m] = -src, low
+            elif low >= offs[m]:
+                xs[m] = x - (src << width * (low - offs[m]))
+            else:
+                xs[m], offs[m] = (x << width * (offs[m] - low)) - src, low
+
+
+def _quotient(xs: list[int], offs: list[int], width: int, a: int, b: int):
+    """A packed T-polynomial divided exactly by (1 - L^a T^b), as new lists,
+    or None.
+
+    The factor is a unit plus higher order, so the quotient is computed
+    bottom-up: s_m = r_m + L^a s_(m-b); division is exact iff the top b
+    rows cancel, and the quotient is what lies below them.
+    """
+    if len(xs) <= b:
+        return None
+    xs, offs = list(xs), list(offs)
+    _divide_by_factor(xs, offs, width, a, b)
+    if any(xs[-b:]):
+        return None
+    return xs[:-b], offs[:-b]
+
+
+def _cleared(xs: Sequence[int], offs: Sequence[int], width: int,
+             factors: Iterable[Factor], top: int) -> dict[int, LaurentPoly] | None:
+    """Numerator of a packed prefix times prod (1 - L^a T^b) when every
+    cleared coefficient above T^top vanishes, else None.  The prefix is left
+    as it is."""
+    xs, offs = list(xs), list(offs)
+    for a, b in factors:
+        _multiply_by_factor(xs, offs, width, a, b)
+    if any(xs[top + 1:]):
+        return None
+    return _unpacked(xs[:top + 1], offs, width)
+
+
 def _num_mul_factors(num: dict[int, LaurentPoly],
                      factors: Iterable[Factor]) -> dict[int, LaurentPoly]:
     """Multiply a T-polynomial (dict t-exp -> LaurentPoly) by
     prod (1 - L^a T^b)."""
     factors = list(factors)
-    if not factors:
+    if not factors or not num:
         return num
-    rows = {t: c.to_dict() for t, c in num.items()}
+    lo = min(num)
+    rows = _rows(num, lo, max(num) + sum(b for _, b in factors))
+    width = _width(_grown(_norms(rows), factors, False))
+    xs, offs = _packed(rows, width)
     for a, b in factors:
-        # descending t: each row is read before it receives its own update
-        for t in sorted(rows, reverse=True):
-            if rows[t]:
-                _add_shifted(rows.setdefault(t + b, {}), rows[t], a, -1)
-    return {t: LaurentPoly._raw(r) for t, r in rows.items() if r}
-
-
-def _add_shifted(row: dict[int, int], src: dict[int, int], a: int,
-                 sign: int) -> None:
-    """row += sign * L^a * src on coefficient maps, dropping zeros."""
-    for e, v in src.items():
-        e += a
-        w = row.get(e, 0) + sign * v
-        if w:
-            row[e] = w
-        else:
-            del row[e]
-
-
-def _divide_by_factor(rows: list[dict[int, int]], a: int, b: int) -> None:
-    """rows <- rows / (1 - L^a T^b) on a T-prefix of coefficient maps, in
-    place."""
-    for m in range(b, len(rows)):
-        if rows[m - b]:
-            _add_shifted(rows[m], rows[m - b], a, 1)
-
-
-def _multiply_by_factor(rows: list[dict[int, int]], a: int, b: int) -> None:
-    """rows <- rows * (1 - L^a T^b) on a T-prefix of coefficient maps, in
-    place."""
-    for m in range(len(rows) - 1, b - 1, -1):
-        if rows[m - b]:
-            _add_shifted(rows[m], rows[m - b], a, -1)
+        _multiply_by_factor(xs, offs, width, a, b)
+    return _unpacked(xs, offs, width, lo)
 
 
 class DaggerSeries:
@@ -213,18 +303,27 @@ class DaggerSeries:
 
     def expand(self, order: int) -> SeriesPrefix:
         """Coefficients of T^0 .. T^order of the formal power-series expansion."""
+        rows = self._rows_to(order)
+        width = _width(_grown(_norms(rows), self._den, True))
+        xs, offs = self._expanded(rows, width)
+        return [_unpacked_row(x, off, width) for x, off in zip(xs, offs)]
+
+    def _rows_to(self, order: int) -> list[LaurentPoly]:
+        """Numerator rows T^lo .. T^order, lo = min(0, lowest T-power)."""
         if order < 0:
             raise ValueError("expansion order must be >= 0")
-        lo = min(min(self._num, default=0), 0)
-        rows: list[dict[int, int]] = [{} for _ in range(order - lo + 1)]
-        for t, c in self._num.items():
-            if t <= order:
-                rows[t - lo] = c.to_dict()
+        return _rows(self._num, min(min(self._num, default=0), 0), order)
+
+    def _expanded(self, rows: list[LaurentPoly],
+                  width: int) -> tuple[list[int], list[int]]:
+        """The packed expansion from the rows of _rows_to, T^0 on."""
+        xs, offs = _packed(rows, width)
         for a, b in self._den:
-            _divide_by_factor(rows, a, b)
-        if any(rows[:-lo]):
+            _divide_by_factor(xs, offs, width, a, b)
+        neg = -min(min(self._num, default=0), 0)
+        if any(xs[:neg]):
             raise ValueError("series has nonzero coefficients at negative T-powers")
-        return [LaurentPoly._raw(r) for r in rows[-lo:]]
+        return xs[neg:], offs[neg:]
 
     def degree(self):
         """deg_T(numerator) - sum of denominator b's; -inf for the zero series."""
@@ -252,16 +351,20 @@ class DaggerSeries:
         One pass in factor order suffices: a factor that does not divide the
         numerator cannot divide its quotient by another factor either.
         """
-        num = self._num
+        if not self._num or not self._den:
+            return DaggerSeries(self._num)
+        lo = min(self._num)
+        rows = _rows(self._num, lo, max(self._num))
+        width = _width(_grown(_norms(rows), self._den, True))
+        xs, offs = _packed(rows, width)
         den: list[Factor] = []
-        if num:
-            for a, b in self._den:
-                quo = _divide_num_by_factor(num, a, b)
-                if quo is None:
-                    den.append((a, b))
-                else:
-                    num = quo
-        return DaggerSeries(num, den)
+        for a, b in self._den:
+            quo = _quotient(xs, offs, width, a, b)
+            if quo is None:
+                den.append((a, b))
+            else:
+                xs, offs = quo
+        return DaggerSeries(_unpacked(xs, offs, width, lo), den)
 
     def hadamard(self, other: "DaggerSeries") -> "DaggerSeries":
         return ds_hadamard(self, other)
@@ -305,34 +408,14 @@ class DaggerSeries:
 
 
 def _divide_num_by_factor(num: dict[int, LaurentPoly], a: int, b: int):
-    """Exact quotient of a T-polynomial by (1 - L^a T^b), or None.
-
-    The factor is a unit plus higher order, so the quotient is computed
-    bottom-up: s_m = r_m + L^a s_(m-b); division is exact iff everything
-    above deg - b cancels.
-    """
+    """Exact quotient of a T-polynomial by (1 - L^a T^b), or None."""
     if not num:
         return {}
-    lo, hi = min(num), max(num)
-    if hi - lo < b:
-        return None
-    rows = [num[m].to_dict() if m in num else {} for m in range(lo, hi + 1)]
-    _divide_by_factor(rows, a, b)
-    if any(rows[hi - lo - b + 1:]):
-        return None
-    return {lo + i: LaurentPoly._raw(r) for i, r in enumerate(rows) if r}
-
-
-def _cleared(prefix: Sequence[LaurentPoly], factors: Iterable[Factor],
-             top: int) -> dict[int, LaurentPoly] | None:
-    """Numerator of prefix * prod (1 - L^a T^b) when every cleared
-    coefficient above T^top vanishes, else None."""
-    rows = [c.to_dict() for c in prefix]
-    for a, b in factors:
-        _multiply_by_factor(rows, a, b)
-    if any(rows[top + 1:]):
-        return None
-    return {m: LaurentPoly._raw(r) for m, r in enumerate(rows) if r}
+    lo = min(num)
+    rows = _rows(num, lo, max(num))
+    width = _width(_grown(_norms(rows), [(a, b)], True))
+    quo = _quotient(*_packed(rows, width), width, a, b)
+    return None if quo is None else _unpacked(*quo, width, lo)
 
 
 # -- module-level operation names ------------------------------------------
@@ -372,14 +455,23 @@ def ds_hadamard(h: DaggerSeries, g: DaggerSeries) -> DaggerSeries:
     # max(deg h, deg g) + 1 on, which bounds the numerator degree
     start = max(0, int(max(h.degree(), g.degree())) + 1)
     order = start + den_deg + 8
-    eh = h.expand(order)
-    eg = g.expand(order)
-    termwise = [ch * cg for ch, cg in zip(eh, eg)]
-    num = _cleared(termwise, factors, start + den_deg - 1)
+    rh, rg = h._rows_to(order), g._rows_to(order)
+    nh = _grown(_norms(rh), h.den, True)
+    ng = _grown(_norms(rg), g.den, True)
+    # the l1 norm of a product is at most the product of the norms
+    nt = _grown([x * y for x, y in zip(nh[-order - 1:], ng[-order - 1:])],
+                factors, False)
+    width = _width(nh, ng, nt)
+    xh, oh = h._expanded(rh, width)
+    xg, og = g._expanded(rg, width)
+    xs = [x * y for x, y in zip(xh, xg)]
+    offs = [p + q for p, q in zip(oh, og)]
+    num = _cleared(xs, offs, width, factors, start + den_deg - 1)
     if num is None:
         raise FitFailure(
             "hadamard verification terms disagree (implementation bug)",
-            prefix=termwise, candidates=factors)
+            prefix=[_unpacked_row(x, off, width) for x, off in zip(xs, offs)],
+            candidates=factors)
     return DaggerSeries(num, factors).peeled()
 
 
@@ -413,8 +505,12 @@ def ds_fit(prefix: Sequence[LaurentPoly],
         if tot <= top:
             subsets.append((tot, len(combo), tuple(combo)))
     subsets.sort()
+    # every subset's recurrences are bounded by those of the whole multiset
+    width = _width(_grown(_norms(prefix),
+                          [f for f, mult in counts for _ in range(mult)], False))
+    xs, offs = _packed(prefix, width)
     for _, _, combo in subsets:
-        num = _cleared(prefix, combo, top)
+        num = _cleared(xs, offs, width, combo, top)
         if num is not None:
             return DaggerSeries(num, combo)
     raise FitFailure(

@@ -9,15 +9,101 @@ All arithmetic is arbitrary-precision and exact.  Multiplication of large
 operands goes through Kronecker substitution (pack into one big integer,
 multiply, unpack balanced digits), which keeps products of long series
 numerators cheap.
+
+The Kronecker codec is _pack and _unpack: a row of coefficients c_e,
+|c_e| < 2^(width-1), is the integer sum of c_e * 2^(width*(e - low)), so
+L -> 2^width.  Sums, shifts by powers of L and products of rows are then one
+big-integer operation each, and a row reads back exactly while every
+coefficient it holds stays inside that bound.  Both directions run in time
+linear in the row's span, for any width; widths of a machine integer type
+(_digit_width rounds up to one) go through the array module.  The Dagger
+layer keeps its T-prefixes packed this way.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, Union
 
 # above this many coefficient pairs, pack into big ints
 _KRONECKER_CUTOFF = 1024
+
+# width in bits -> signed array type code of that item size, and the bytes of
+# one such item that holds just its top bit
+_ARRAY_CODES = {array(code).itemsize * 8: code for code in "bhiq"}
+_TOP_BYTES = {w: (1 << (w - 1)).to_bytes(w // 8, sys.byteorder) for w in _ARRAY_CODES}
+_ARRAY_WIDTHS = sorted(_ARRAY_CODES)
+
+
+def _digit_width(bound: int) -> int:
+    """Digit width that holds coefficients of absolute value <= bound with two
+    bits to spare, rounded up to an array item size when one is wide enough."""
+    width = bound.bit_length() + 2
+    for w in _ARRAY_WIDTHS:
+        if w >= width:
+            return w
+    return width
+
+
+def _top_bits(n: int, width: int) -> int:
+    """The integer whose n digits of the given width each hold just their top
+    bit."""
+    if width in _TOP_BYTES:
+        return int.from_bytes(_TOP_BYTES[width] * n, sys.byteorder)
+    return int(("1" + "0" * (width - 1)) * n, 2)
+
+
+def _pack(coeffs: Mapping[int, int], low: int, width: int) -> int:
+    """The integer sum of c * 2^(width*(e - low)) over the items of coeffs.
+
+    coeffs is not empty, every exponent is >= low and every
+    |c| < 2^(width-1).  The digits are laid out in two's complement,
+    d mod 2^width; flipping each digit's top bit turns that into
+    d + 2^(width-1), which is why the sum is (u ^ top) - top.
+    """
+    # a single term is a single shift
+    if len(coeffs) == 1:
+        (e, c), = coeffs.items()
+        return c << width * (e - low)
+    n = max(coeffs) - low + 1
+    code = _ARRAY_CODES.get(width)
+    if code:
+        digits = array(code, bytes(n * width // 8))
+        for e, c in coeffs.items():
+            digits[e - low] = c
+        u = int.from_bytes(digits, sys.byteorder)
+    else:
+        mask = (1 << width) - 1
+        fmt = f"0{width}b"
+        bits = ["0" * width] * n
+        for e, c in coeffs.items():
+            bits[n - 1 - (e - low)] = format(c & mask, fmt)
+        u = int("".join(bits), 2)
+    top = _top_bits(n, width)
+    return (u ^ top) - top
+
+
+def _unpack(x: int, low: int, width: int) -> dict[int, int]:
+    """The nonzero balanced digits of x as {low + i: digit i}; the inverse of
+    _pack while every coefficient packed into x has |c| < 2^(width-1)."""
+    # a top digit at index k makes |x| >= 2^(width*k - 1)
+    n = x.bit_length() // width + 1
+    if n == 1:
+        return {low: x} if x else {}
+    top = _top_bits(n, width)
+    y = (x + top) ^ top
+    code = _ARRAY_CODES.get(width)
+    if code:
+        digits = array(code, y.to_bytes(n * width // 8, sys.byteorder))
+    else:
+        half = 1 << (width - 1)
+        s = format(y, f"0{n * width}b")
+        digits = [v - ((v & half) << 1)
+                  for v in (int(s[i - width:i], 2) for i in range(n * width, 0, -width))]
+    return dict(compress(zip(count(low), digits), digits))
 
 
 class LaurentPoly:
@@ -148,29 +234,9 @@ class LaurentPoly:
         mb = max(abs(v) for v in b.values())
         # any product coefficient is a sum of at most min(len(a), len(b))
         # pair products, so this bounds its absolute value
-        bound = ma * mb * min(len(a), len(b))
-        width = bound.bit_length() + 2
-        base = 1 << width
-        half = base >> 1
-        mask = base - 1
-        pa = 0
-        for e, v in a.items():
-            pa += v << (width * (e - sa))
-        pb = 0
-        for e, v in b.items():
-            pb += v << (width * (e - sb))
-        prod = pa * pb
-        c: dict[int, int] = {}
-        i = sa + sb
-        while prod:
-            d = prod & mask
-            if d >= half:
-                d -= base
-            if d:
-                c[i] = d
-            prod = (prod - d) >> width
-            i += 1
-        return LaurentPoly._raw(c)
+        width = _digit_width(ma * mb * min(len(a), len(b)))
+        prod = _pack(a, sa, width) * _pack(b, sb, width)
+        return LaurentPoly._raw(_unpack(prod, sa + sb, width))
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:

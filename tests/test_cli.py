@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import jetzeta.jets.classify as classify
 from jetzeta.cli import main
 from jetzeta.errors import ClassNotPolynomialError, ResourceLimitError
 from jetzeta.gamma.cells import PolySet
+from jetzeta.gamma.zeta import AffineFormPW
 from jetzeta.jets.count import count_points
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -310,6 +313,54 @@ REPORT_DIGESTS = [
                          ids=[" ".join(argv[:3]) for argv, _ in REPORT_DIGESTS])
 def test_report_pinned(capsys, argv, digest):
     assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of reports that run the Dagger layer (zeta fits and polytope
+# series), recorded while its rows were {exponent: coefficient} dicts;
+# packing them into ints must not change a byte
+@pytest.mark.parametrize("argv, digest", [
+    (["zeta", "-f", "x1^3", "--resolution", str(FIXTURES / "x3" / "resolution.json")],
+     "2049100a6dc17c180208a44d9dad82bcd0e5489c2d5a2fd31dc011171caf664b"),
+    (["zeta", "-f", "x1*x2", "-M", "16"],
+     "3b0b1154005b79ea7ef2eb0ce1b2972b5b098c22db03f64f23f1f0ed123d7597"),
+], ids=["zeta x1^3 --resolution x3", "zeta x1*x2 -M 16"])
+def test_dagger_report_pinned(capsys, argv, digest):
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def criterion6_case(index: int) -> tuple[PolySet, AffineFormPW]:
+    """Random interval product number `index` of acceptance criterion 6."""
+    rng = random.Random(0xC6_2026)
+    for _ in range(index + 1):
+        n = rng.randint(1, 3)
+        box = []
+        for _ in range(n):
+            k0, k1 = sorted((rng.randint(-36, 36), rng.randint(-36, 36)))
+            box.append((Fraction(k0, 12), Fraction(k1, 12),
+                        rng.random() < 0.5, rng.random() < 0.5))
+        form = AffineFormPW.linear([rng.randint(-3, 3) for _ in range(n)],
+                                   rng.randint(-3, 3))
+    return PolySet.box(box), form
+
+
+# the report echoes the file path in "data", so the file goes under one
+# relative name in a fresh working directory
+@pytest.mark.parametrize("index, dim, digest", [
+    (0, 3, "b8448ee52282112985f6ab9deee6df721e7c72bc0e80d716bf83f0292d13b578"),
+    (192, 2, "b886208364f649093bfd328307b1cc27d0ad3dd7867ee14b491edba13bdf32c6"),
+])
+def test_polytope_series_report_pinned(capsys, tmp_path, monkeypatch, index, dim,
+                                       digest):
+    S, form = criterion6_case(index)
+    assert S.n == dim
+    monkeypatch.chdir(tmp_path)
+    Path("box.json").write_text(
+        json.dumps({"set": S.to_json(), "form": form.to_json()}), encoding="utf-8")
+    assert main(["polytope", "series", "box.json", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -293,3 +293,103 @@ def test_negative_t_power_rejected():
 def test_invalid_factor_rejected():
     with pytest.raises(ValueError):
         DaggerSeries({0: one}, [(1, 0)])
+
+
+# ---------------------------------------------------------------------------
+# wide ranges: coefficients past 2^64, L-exponents far from zero and factors
+# with large slopes move the packed rows' digit widths and offsets
+
+wide_factor_st = st.tuples(st.integers(min_value=-40, max_value=40),
+                           st.integers(min_value=1, max_value=6))
+
+
+def wide_num_st(bits: int):
+    # the empty dict gives the zero series
+    return st.dictionaries(
+        st.integers(min_value=0, max_value=4),
+        st.dictionaries(st.integers(min_value=-1000, max_value=1000),
+                        st.integers(min_value=-2 ** bits, max_value=2 ** bits).filter(bool),
+                        min_size=1, max_size=3),
+        max_size=4,
+    )
+
+
+def wide_series_st(bits: int, max_factors: int):
+    # an empty factor list gives a T-polynomial
+    return st.builds(
+        lambda num, den: DaggerSeries({t: LaurentPoly(c) for t, c in num.items()}, den),
+        wide_num_st(bits), st.lists(wide_factor_st, max_size=max_factors))
+
+
+def oracle_mul_factors(num: dict[int, dict], factors) -> dict[int, dict]:
+    """num * prod (1 - L^a T^b) by sparse dict products."""
+    for a, b in factors:
+        out: dict[int, dict] = {}
+        for t, c in num.items():
+            out[t] = d_add(out.get(t, {}), c)
+            out[t + b] = d_add(out.get(t + b, {}), d_mul(c, {a: -1}))
+        num = {t: c for t, c in out.items() if c}
+    return num
+
+
+@seed(20261103)
+@given(wide_num_st(80), st.lists(wide_factor_st, max_size=3),
+       st.integers(min_value=0, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_expand_matches_oracle_wide(num, den, order):
+    h = DaggerSeries({t: LaurentPoly(c) for t, c in num.items()}, den)
+    assert as_dicts(h.expand(order)) == oracle_expand(num, den, order)
+
+
+@seed(20261104)
+@given(wide_num_st(80), st.lists(wide_factor_st, min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_mul_div_factors_roundtrip_wide(num, factors, t):
+    n = {e: LaurentPoly(c) for e, c in num.items()}
+    multiple = _num_mul_factors(n, factors)
+    assert {e: dict(c.items()) for e, c in multiple.items()} == \
+        oracle_mul_factors(num, factors)
+    for a, b in reversed(factors):
+        multiple = _divide_num_by_factor(multiple, a, b)
+    assert multiple == n
+    perturbed = DaggerSeries([*_num_mul_factors(n, factors[:1]).items(),
+                              (t, L(-999, 2 ** 70))]).num
+    assert _divide_num_by_factor(perturbed, *factors[0]) is None
+
+
+@seed(20261105)
+@given(wide_series_st(80, 2), st.lists(wide_factor_st, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_peeled_matches_restart_loop_wide(h, extra):
+    inflated = DaggerSeries(_num_mul_factors(h.num, extra), list(h.den) + extra)
+    assert inflated.peeled().to_json() == restart_peeled(inflated).to_json()
+
+
+@seed(20261106)
+@given(wide_series_st(40, 2), wide_series_st(40, 2),
+       st.integers(min_value=0, max_value=10))
+@settings(max_examples=40, deadline=None)
+def test_hadamard_is_termwise_product_wide(h, g, order):
+    eh, eg = h.expand(order), g.expand(order)
+    assert ds_hadamard(h, g).expand(order) == [a * b for a, b in zip(eh, eg)]
+
+
+def test_hadamard_past_two_to_the_64():
+    h = DaggerSeries({1: L(-900, 2 ** 40), 2: L(7, -(2 ** 40) + 3)}, [(7, 2)])
+    g = DaggerSeries({0: L(1000, 2 ** 40 + 1)}, [(-40, 3), (1, 1)])
+    got = ds_hadamard(h, g)
+    ref = [a * b for a, b in zip(h.expand(30), g.expand(30))]
+    assert got.expand(30) == ref
+    assert max(abs(v) for c in ref for _, v in c.items()) > 2 ** 80
+
+
+@seed(20261107)
+@given(wide_series_st(80, 3))
+@settings(max_examples=40, deadline=None)
+def test_fit_recovers_series_wide(h):
+    order = sum(b for _, b in h.den) + (max(h.num) if h.num else 0) + 6
+    prefix = h.expand(order)
+    fitted = ds_fit(prefix, sorted(h.den))
+    assert fitted == h
+    assert fitted.expand(order) == prefix

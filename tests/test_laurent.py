@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.algebra import LaurentPoly
+from jetzeta.algebra.laurent import _KRONECKER_CUTOFF, _digit_width, _pack, _unpack
 
 
 def oracle_mul(a: dict, b: dict) -> dict:
@@ -196,3 +197,57 @@ def test_hash_consistent_with_eq(a):
     p = LaurentPoly(a)
     q = LaurentPoly(dict(a))
     assert p == q and hash(p) == hash(q)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker codec over wide ranges: coefficients past 2^64, exponents far
+# from zero, array widths and widths that are not
+
+wide_dicts = st.dictionaries(
+    st.integers(min_value=-1000, max_value=1000),
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80).filter(bool),
+    max_size=12,
+)
+
+
+@seed(20261101)
+@settings(max_examples=200, deadline=None)
+@given(wide_dicts, st.integers(min_value=0, max_value=70), st.booleans())
+def test_pack_unpack_roundtrip(a, spare, array_width):
+    if not a:
+        return
+    bound = max(abs(v) for v in a.values())
+    width = _digit_width(bound) if array_width else bound.bit_length() + 2 + spare
+    low = min(a) - spare
+    x = _pack(a, low, width)
+    assert x == sum(v << (width * (e - low)) for e, v in a.items())
+    assert _unpack(x, low, width) == a
+    assert _unpack(-x, low, width) == {e: -v for e, v in a.items()}
+
+
+def test_digit_width_keeps_two_spare_bits():
+    for bound in (0, 1, 31, 32, 2 ** 62 - 1, 2 ** 62, 2 ** 80):
+        width = _digit_width(bound)
+        assert bound < 2 ** (width - 2)
+        assert _unpack(_pack({0: -bound, 3: bound}, 0, width), 0, width) == (
+            {0: -bound, 3: bound} if bound else {})
+
+
+@seed(20261102)
+@settings(max_examples=60, deadline=None)
+@given(wide_dicts, wide_dicts)
+def test_kronecker_path_matches_naive_wide(a, b):
+    if not a or not b:
+        return
+    got = LaurentPoly(a)._kronecker_mul(LaurentPoly(b))
+    assert got._c == oracle_mul(a, b)
+
+
+def test_product_past_two_to_the_64_through_kronecker():
+    # 40 x 40 terms is above the cutoff, so __mul__ packs
+    a = {e: (2 ** 70 + e) * (1 if e % 2 else -1) for e in range(-20, 20)}
+    b = {3 * e: 2 ** 66 - e for e in range(40)}
+    assert len(a) * len(b) > _KRONECKER_CUTOFF
+    got = LaurentPoly(a) * LaurentPoly(b)
+    assert got._c == oracle_mul(a, b)
+    assert max(abs(v) for v in got._c.values()) > 2 ** 128
