@@ -21,11 +21,11 @@ a + a'.)
 
 Numerators are dicts t-exponent -> LaurentPoly without zero entries, and
 every sum of them goes through one merge, _merged.  Dense work on T-prefixes
-runs through one recurrence pair for the factor 1 - L^a T^b: dividing is
-c_m += L^a * c_(m-b) in ascending m, multiplying is c_m -= L^a * c_(m-b) in
-descending m.  Expansion and exact division use the first; fitting, the
+runs through one recurrence for the factor 1 - L^a T^b, _by_factor:
+c_m += L^a * c_(m-b) in ascending m divides, c_m -= L^a * c_(m-b) in
+descending m multiplies.  Expansion and exact division divide; fitting, the
 Hadamard numerator and the products by factors that bring sums to a common
-denominator use the second.
+denominator multiply.
 
 The recurrences run on packed rows: a T-prefix is a list of Kronecker-packed
 ints (laurent._pack, L -> 2^width) with a list of per-row L-exponent
@@ -41,6 +41,7 @@ shift, so every shift is a left shift and no row carries zero padding.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -134,36 +135,22 @@ def _unpacked_row(x: int, off: int, width: int) -> LaurentPoly:
     return LaurentPoly._raw(_unpack(x, off, width)) if x else LaurentPoly()
 
 
-def _divide_by_factor(xs: list[int], offs: list[int], width: int,
-                      a: int, b: int) -> None:
-    """xs <- xs / (1 - L^a T^b) on a packed T-prefix, in place."""
-    for m in range(b, len(xs)):
+def _by_factor(xs: list[int], offs: list[int], width: int, a: int, b: int,
+               divide: bool) -> None:
+    """xs <- xs / (1 - L^a T^b) if divide, else xs * (1 - L^a T^b), on a
+    packed T-prefix, in place."""
+    op = operator.add if divide else operator.sub
+    for m in (range(b, len(xs)) if divide else range(len(xs) - 1, b - 1, -1)):
         src = xs[m - b]
         if src:
             low = offs[m - b] + a
             x = xs[m]
             if not x:
-                xs[m], offs[m] = src, low
+                xs[m], offs[m] = op(0, src), low
             elif low >= offs[m]:
-                xs[m] = x + (src << width * (low - offs[m]))
+                xs[m] = op(x, src << width * (low - offs[m]))
             else:
-                xs[m], offs[m] = (x << width * (offs[m] - low)) + src, low
-
-
-def _multiply_by_factor(xs: list[int], offs: list[int], width: int,
-                        a: int, b: int) -> None:
-    """xs <- xs * (1 - L^a T^b) on a packed T-prefix, in place."""
-    for m in range(len(xs) - 1, b - 1, -1):
-        src = xs[m - b]
-        if src:
-            low = offs[m - b] + a
-            x = xs[m]
-            if not x:
-                xs[m], offs[m] = -src, low
-            elif low >= offs[m]:
-                xs[m] = x - (src << width * (low - offs[m]))
-            else:
-                xs[m], offs[m] = (x << width * (offs[m] - low)) - src, low
+                xs[m], offs[m] = op(x << width * (offs[m] - low), src), low
 
 
 def _quotient(xs: list[int], offs: list[int], width: int, a: int, b: int):
@@ -177,7 +164,7 @@ def _quotient(xs: list[int], offs: list[int], width: int, a: int, b: int):
     if len(xs) <= b:
         return None
     xs, offs = list(xs), list(offs)
-    _divide_by_factor(xs, offs, width, a, b)
+    _by_factor(xs, offs, width, a, b, True)
     if any(xs[-b:]):
         return None
     return xs[:-b], offs[:-b]
@@ -190,7 +177,7 @@ def _cleared(xs: Sequence[int], offs: Sequence[int], width: int,
     as it is."""
     xs, offs = list(xs), list(offs)
     for a, b in factors:
-        _multiply_by_factor(xs, offs, width, a, b)
+        _by_factor(xs, offs, width, a, b, False)
     if any(xs[top + 1:]):
         return None
     return _unpacked(xs[:top + 1], offs, width)
@@ -208,7 +195,7 @@ def _num_mul_factors(num: dict[int, LaurentPoly],
     width = _width(_grown(_norms(rows), factors, False))
     xs, offs = _packed(rows, width)
     for a, b in factors:
-        _multiply_by_factor(xs, offs, width, a, b)
+        _by_factor(xs, offs, width, a, b, False)
     return _unpacked(xs, offs, width, lo)
 
 
@@ -319,7 +306,7 @@ class DaggerSeries:
         """The packed expansion from the rows of _rows_to, T^0 on."""
         xs, offs = _packed(rows, width)
         for a, b in self._den:
-            _divide_by_factor(xs, offs, width, a, b)
+            _by_factor(xs, offs, width, a, b, True)
         neg = -min(min(self._num, default=0), 0)
         if any(xs[:neg]):
             raise ValueError("series has nonzero coefficients at negative T-powers")

@@ -166,10 +166,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._c.items()))
 
-    def to_dict(self) -> dict[int, int]:
-        """A new {exponent: coefficient} map, free for the caller to change."""
-        return dict(self._c)
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 
@@ -54,7 +54,6 @@ class RunConfig:
     action: str | None = None
     data: str | None = None
     output_json: bool = False
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.m_lo < 1 or self.m_hi < self.m_lo:
@@ -65,8 +64,6 @@ class RunConfig:
             raise MalformedDataError("prime budget must be positive")
         if self.node_budget < 1:
             raise MalformedDataError("node budget must be positive")
-        if self.threads < 1:
-            raise MalformedDataError("thread count must be positive")
 
 
 def _parse_m_range(text: str) -> tuple[int, int]:
@@ -298,7 +295,7 @@ def _load_polytope(path: str) -> tuple[PolySet, AffineFormPW]:
         S = PolySet.from_json(data["set"])
         form = (AffineFormPW.from_json(data["form"], S.n)
                 if "form" in data else AffineFormPW.constant(S.n, 0))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedDataError(f"bad polytope data: {exc}") from exc
     return S, form
 
@@ -399,21 +396,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    m_lo, m_hi = _parse_m_range(getattr(args, "m_range", "1"))
-    return RunConfig(
-        command=args.command,
-        poly=getattr(args, "poly", None),
-        at=_parse_point(args.at) if getattr(args, "at", None) else None,
-        m_lo=m_lo, m_hi=m_hi,
-        terms=getattr(args, "terms", None),
-        primes=getattr(args, "primes", None),
-        node_budget=getattr(args, "node_budget", NODE_BUDGET),
-        resolution=getattr(args, "resolution", None),
-        action=getattr(args, "action", None),
-        data=getattr(args, "data", None),
-        output_json=getattr(args, "output_json", False),
-        threads=getattr(args, "threads", 1),
-    )
+    given = vars(args)
+    kw = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
+    kw["m_lo"], kw["m_hi"] = _parse_m_range(args.m_range)
+    kw["at"] = _parse_point(kw["at"]) if kw.get("at") else None
+    cfg = RunConfig(**kw)
+    # --threads is checked, and otherwise ignored: counts run on this thread
+    if given.get("threads", 1) < 1:
+        raise MalformedDataError("thread count must be positive")
+    return cfg
 
 
 _COMMANDS = {

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, lcm
+from math import ceil, comb, floor, lcm
 from typing import Iterable, Sequence
 
 from ..algebra.dagger import DaggerSeries, ds_fit
@@ -90,22 +91,14 @@ class AffineFormPW:
         return cls.make(n, pieces)
 
 
-def _eulerian(d: int) -> list[int]:
-    """Coefficients of A_d(z) with sum_(t>=0) t^d z^t = A_d(z)/(1-z)^(d+1)."""
-    a = [1]
-    for k in range(1, d + 1):
-        deriv = [i * a[i] for i in range(1, len(a))]
-        # A_k = z * (A'(1-z) + k*A)
-        combined = [0] * (len(a) + 1)
-        for i, v in enumerate(deriv):
-            combined[i] += v
-            combined[i + 1] -= v
-        for i, v in enumerate(a):
-            combined[i] += k * v
-        a = [0] + combined
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+@cache
+def _eulerian(d: int) -> tuple[int, ...]:
+    """Coefficients of A_d(z) with sum_(t>=0) t^d z^t = A_d(z)/(1-z)^(d+1),
+    by the explicit sum A_d[j] = sum_(i<=j) (-1)^i C(d+1, i) (j-i)^d,
+    j = 0..d (Graham-Knuth-Patashnik, Concrete Mathematics, 6.2)."""
+    return tuple(sum((-1) ** i * comb(d + 1, i) * (j - i) ** d
+                     for i in range(j + 1))
+                 for j in range(d + 1))
 
 
 # ---------------------------------------------------------------------------

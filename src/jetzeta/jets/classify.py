@@ -268,18 +268,14 @@ def _class_from_newton(newton: Sequence[Fraction], table: CountTable,
 
 
 def interpolate_class(table: CountTable, degree_bound: int) -> ClassPoly:
-    """Degree-bound fit through the leading points of the table.
-
-    Uses the first degree_bound+1 entries and verifies against the rest;
+    """Least-degree fit of degree <= degree_bound, verified on every entry;
     at least two verification entries are required.
     """
     if len(table) < degree_bound + 3:
         raise ValueError(
             f"need at least {degree_bound + 3} counts for bound "
             f"{degree_bound}, got {len(table)}")
-    return _class_from_newton(
-        _divided_differences(table.entries[:degree_bound + 1]), table,
-        degree_bound)
+    return _fit_minimal(table, degree_bound)
 
 
 def _fit_minimal(table: CountTable, degree_bound: int) -> ClassPoly:

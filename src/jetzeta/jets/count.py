@@ -102,6 +102,7 @@ A first power v^1 reads v's coordinates as they are, with no pow_v.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -342,15 +343,8 @@ class FP:
         for _ in range(D):
             r_pows.append(r_pows[-1].mul(neg_r))
             c_pows.append(c_pows[-1].mul(cpoly))
-        c: dict = {}
-        for d, hd in by.items():
-            for e, x in hd.mul(r_pows[d]).mul(c_pows[D - d]).c.items():
-                w = F.add(c.get(e, 0), x)
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
-        return FP(F, n, c)
+        return reduce(FP.add, [hd.mul(r_pows[d]).mul(c_pows[D - d])
+                               for d, hd in by.items()])
 
     def evaluate_vec(self, coords: Mapping[int, np.ndarray],
                      npoints: int) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import NonvanishingError
+from ..errors import NonvanishingError, ResourceLimitError
 from .gf import factorize
 from .poly import MultiPoly
 
@@ -55,6 +56,9 @@ def build_jet_system(f: MultiPoly, x: Sequence, m: int) -> JetConstraintSystem:
     n = f.n_vars
     if n < 1:
         raise ValueError("polynomial must have at least one variable")
+    if n * m > sys.maxsize:
+        raise ResourceLimitError(
+            f"order m = {m} needs {n * m} jet variables, over sys.maxsize")
     value = f.evaluate(x)
     if value != 0:
         raise NonvanishingError(

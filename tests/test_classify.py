@@ -311,6 +311,32 @@ def test_fit_minimal_matches_lagrange_per_degree(data):
     assert _fit_minimal(table, bound) == want
 
 
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interpolate_class_is_the_minimal_fit(data):
+    # the first bound + 1 divided differences depend only on the first
+    # bound + 1 entries, so the two fits agree, error texts included
+    bound = data.draw(st.integers(0, 4))
+    degree = data.draw(st.integers(0, bound + 2))
+    coeffs = data.draw(st.lists(st.integers(0, 40), min_size=degree + 1,
+                                max_size=degree + 1))
+    size = data.draw(st.integers(bound + 3, bound + 6))
+    qs = good_primes(parse_poly("x1*x2"), None, size)
+    values = [sum(c * q ** k for k, c in enumerate(coeffs)) for q in qs]
+    if data.draw(st.booleans()):
+        values[data.draw(st.integers(0, size - 1))] += \
+            data.draw(st.integers(1, 5))
+    table = CountTable(tuple(zip(qs, values)))
+    got = []
+    for fit in (interpolate_class, _fit_minimal):
+        try:
+            got.append(fit(table, bound))
+        except ClassNotPolynomialError as e:
+            got.append(str(e))
+    assert got[0] == got[1]
+
+
 # -- reach: Brieskorn-Pham germs and A1 past m = 6 --------------------------
 
 def _brieskorn_pham(exponents: list[int], m: int) -> int:

@@ -179,14 +179,77 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     short_row = tmp_path / "short.json"
     short_row.write_text(json.dumps(
         {"set": {"dim": 2, "cells": [{"le": [[1, 0]]}]}}))
+    zero_den_cell = tmp_path / "zero_den_cell.json"
+    zero_den_cell.write_text(json.dumps(
+        {"set": {"dim": 1, "cells": [{"le": [[1, "1/0"]]}]}}))
+    zero_den_guard = tmp_path / "zero_den_guard.json"
+    zero_den_guard.write_text(json.dumps(
+        {"set": {"dim": 1, "cells": [{"le": [[1, 1], [-1, 0]]}]},
+         "form": {"pieces": [{"guard": {"le": [[1, "1/0"]]}, "a": [1]}]}}))
     for argv in (["lefschetz", "-f", "x1^2", "-m", "x"],
                  ["lefschetz", "-f", "x1^2", "--at", "1/0", "-m", "1"],
                  ["polytope", "chi", str(tmp_path / "missing.json")],
                  ["polytope", "chi", str(not_json)],
-                 ["polytope", "chi", str(short_row)]):
+                 ["polytope", "chi", str(short_row)],
+                 ["polytope", "chi", str(zero_den_cell)],
+                 ["polytope", "alpha", str(zero_den_cell)],
+                 ["polytope", "series", str(zero_den_cell)],
+                 ["polytope", "series", str(zero_den_guard)]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+# stderr of bad options, recorded before --threads left RunConfig; with
+# several faults the first check in RunConfig's order still wins
+BAD_OPTIONS = [
+    (["lefschetz", "-f", "x1^2", "--primes", "0"],
+     "error: prime budget must be positive"),
+    (["lefschetz", "-f", "x1^2", "--node-budget", "0"],
+     "error: node budget must be positive"),
+    (["lefschetz", "-f", "x1^2", "--threads", "0"],
+     "error: thread count must be positive"),
+    (["count", "-f", "x1^2", "--threads", "0"],
+     "error: thread count must be positive"),
+    (["zeta", "-f", "x1^2", "-M", "0"], "error: term count must be positive"),
+    (["polytope", "series", "unread.json", "-M", "0"],
+     "error: term count must be positive"),
+    (["lefschetz", "-f", "x1^2", "-m", "0"], "error: empty m-range 0..0"),
+    (["polytope", "alpha", "unread.json", "-m", "0"],
+     "error: empty m-range 0..0"),
+    (["acampo", "--resolution", str(FIXTURES / "cusp" / "resolution.json"),
+      "-m", "0"], "error: empty m-range 0..0"),
+    (["count", "-f", "x1^2", "-m", "1..2"],
+     "error: count takes a single m, not a range"),
+    (["lefschetz", "-f", "x1^2", "-m", "3..1", "--at", "1/0"],
+     "error: bad base point '1/0'; use e.g. 0,1/3"),
+    (["lefschetz", "-f", "x1^2", "-m", "3..1", "--primes", "0"],
+     "error: empty m-range 3..1"),
+    (["lefschetz", "-f", "x1^2", "--primes", "-3", "--node-budget", "0"],
+     "error: prime budget must be positive"),
+    (["lefschetz", "-f", "x1^2", "-m", "3..1", "--threads", "0"],
+     "error: empty m-range 3..1"),
+    (["lefschetz", "-f", "x1^2", "--node-budget", "0", "--threads", "0"],
+     "error: node budget must be positive"),
+]
+
+
+@pytest.mark.parametrize("argv, line", BAD_OPTIONS)
+def test_bad_option_prints_one_error_line(capsys, argv, line):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line + "\n")
+
+
+def test_order_past_the_platform_limit_is_a_resource_failure(capsys):
+    m = str(2 ** 70)
+    code, rep = run_json(capsys, ["lefschetz", "-f", "x1^2", "-m", m])
+    assert code == 4
+    (row,) = rep["rows"]
+    assert row["error_kind"] == "resource"
+    assert main(["count", "-f", "x1^2", "-m", m]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and "Traceback" not in err
 
 
 def test_class_error_row_exits_2(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from jetzeta.errors import LimitMismatchError, UnboundedInputError
 from jetzeta.gamma import (
     PolySet, RationalCell, AffineFormPW, chi, zeta_polytope, zeta_terms,
 )
+from jetzeta.gamma.zeta import _eulerian
 
 
 def test_zeta_point_at_origin():
@@ -225,3 +226,15 @@ def test_affine_form_json_roundtrip():
     f = AffineFormPW.make(1, [(left, (1,), 0), (right, (2,), 1)])
     back = AffineFormPW.from_json(f.to_json(), 1)
     assert back == f
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_eulerian_numerator_from_its_definition(d):
+    # (1 - z)^(d+1) * sum_(t<=N) t^d z^t is A_d(z) up to z^N: the truncation
+    # leaves every coefficient through z^N exact
+    N = 2 * d + 4
+    series = [t ** d for t in range(N + 1)]
+    for _ in range(d + 1):
+        series = series[:1] + [b - a for a, b in zip(series, series[1:])]
+    assert list(_eulerian(d)) == series[:d + 1]
+    assert not any(series[d + 1:])
