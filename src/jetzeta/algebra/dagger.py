@@ -462,6 +462,20 @@ def ds_hadamard(h: DaggerSeries, g: DaggerSeries) -> DaggerSeries:
     return DaggerSeries(num, factors).peeled()
 
 
+def fit_candidates(candidate_factors: Iterable[Factor]) -> list[tuple[Factor, int]]:
+    """The candidate multiset of a fit as sorted (factor, multiplicity)
+    pairs; raises ResourceLimitError when it has more subsets than ds_fit
+    tries, which depends on the candidates alone."""
+    counts = sorted(Counter(_check_factor(f) for f in candidate_factors).items())
+    total_subsets = 1
+    for _, mult in counts:
+        total_subsets *= mult + 1
+        if total_subsets > _FIT_SUBSET_BUDGET:
+            raise ResourceLimitError(
+                "ds_fit candidate multiset has too many subsets")
+    return counts
+
+
 def ds_fit(prefix: Sequence[LaurentPoly],
            candidate_factors: Iterable[Factor]) -> DaggerSeries:
     """Smallest-denominator rational form reproducing the whole prefix.
@@ -476,13 +490,7 @@ def ds_fit(prefix: Sequence[LaurentPoly],
     if not prefix:
         raise ValueError("empty prefix")
     top = len(prefix) - 1 - _FIT_MARGIN
-    counts = sorted(Counter(_check_factor(f) for f in candidate_factors).items())
-    total_subsets = 1
-    for _, mult in counts:
-        total_subsets *= mult + 1
-        if total_subsets > _FIT_SUBSET_BUDGET:
-            raise ResourceLimitError(
-                "ds_fit candidate multiset has too many subsets")
+    counts = fit_candidates(candidate_factors)
     subsets = []
     for choice in itertools.product(*[range(m + 1) for _, m in counts]):
         combo: list[Factor] = []

@@ -5,10 +5,8 @@ and as a counting polynomial in a prime power q.  Specializing L -> 1 gives
 the compactly supported Euler characteristic, L -> q the number of rational
 points over F_q.
 
-All arithmetic is arbitrary-precision and exact.  Multiplication of large
-operands goes through Kronecker substitution (pack into one big integer,
-multiply, unpack balanced digits), which keeps products of long series
-numerators cheap.
+All arithmetic is arbitrary-precision and exact.  Multiplication is the
+schoolbook loop over term pairs; the operands it sees are short.
 
 The Kronecker codec is _pack and _unpack: a row of coefficients c_e,
 |c_e| < 2^(width-1), is the integer sum of c_e * 2^(width*(e - low)), so
@@ -16,8 +14,9 @@ L -> 2^width.  Sums, shifts by powers of L and products of rows are then one
 big-integer operation each, and a row reads back exactly while every
 coefficient it holds stays inside that bound.  Both directions run in time
 linear in the row's span, for any width; widths of a machine integer type
-(_digit_width rounds up to one) go through the array module.  The Dagger
-layer keeps its T-prefixes packed this way.
+(_digit_width rounds up to one) go through the array module.  The codec
+serves the Dagger layer, which keeps its T-prefixes packed this way and
+multiplies their rows as packed integers.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from array import array
 from fractions import Fraction
 from itertools import compress, count
 from typing import Iterable, Iterator, Mapping, Union
-
-# above this many coefficient pairs, pack into big ints
-_KRONECKER_CUTOFF = 1024
 
 # width in bits -> signed array type code of that item size, and the bytes of
 # one such item that holds just its top bit
@@ -113,7 +109,7 @@ class LaurentPoly:
     coefficient map.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
         c: dict[int, int] = {}
@@ -128,7 +124,6 @@ class LaurentPoly:
                 elif e in c:
                     del c[e]
         self._c = c
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -138,7 +133,6 @@ class LaurentPoly:
         caller hands c over and never changes it again."""
         out = cls.__new__(cls)
         out._c = c
-        out._hash = None
         return out
 
     @classmethod
@@ -165,9 +159,6 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._c.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
 
     def __len__(self) -> int:
         return len(self._c)
@@ -208,31 +199,18 @@ class LaurentPoly:
         a, b = self._c, other._c
         if not a or not b:
             return LaurentPoly()
-        if len(a) * len(b) <= _KRONECKER_CUTOFF:
-            c: dict[int, int] = {}
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = ea + eb
-                    w = c.get(e, 0) + ca * cb
-                    if w:
-                        c[e] = w
-                    elif e in c:
-                        del c[e]
-            return LaurentPoly._raw(c)
-        return self._kronecker_mul(other)
+        c: dict[int, int] = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                w = c.get(e, 0) + ca * cb
+                if w:
+                    c[e] = w
+                elif e in c:
+                    del c[e]
+        return LaurentPoly._raw(c)
 
     __rmul__ = __mul__
-
-    def _kronecker_mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = self._c, other._c
-        sa, sb = min(a), min(b)
-        ma = max(abs(v) for v in a.values())
-        mb = max(abs(v) for v in b.values())
-        # any product coefficient is a sum of at most min(len(a), len(b))
-        # pair products, so this bounds its absolute value
-        width = _digit_width(ma * mb * min(len(a), len(b)))
-        prod = _pack(a, sa, width) * _pack(b, sb, width)
-        return LaurentPoly._raw(_unpack(prod, sa + sb, width))
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
@@ -284,7 +262,7 @@ class LaurentPoly:
                     rem[i + j] -= c * bj
         if any(rem[:nb - 1]):
             raise ValueError("not exactly divisible")
-        return LaurentPoly(c_out)
+        return LaurentPoly._raw(c_out)
 
     # -- evaluation --------------------------------------------------------
 
@@ -310,9 +288,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._c.items()))
-        return self._hash
+        return hash(frozenset(self._c.items()))
 
     # -- presentation ------------------------------------------------------
 

@@ -5,7 +5,7 @@ zeta, Milnor-fiber limit, period cross-check), acampo (resolution side
 alone), count (raw point-count table), polytope (chi / alpha / series).
 
 Exit codes are a stable contract: 0 success, 2 parse or config error,
-3 oracle disagreement, 4 resource limit.
+3 oracle disagreement, 4 resource limit (out of memory included).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 
-from .algebra.dagger import ds_fit, ds_limit
+from .algebra.dagger import ds_fit, ds_limit, fit_candidates
 from .algebra.laurent import LaurentPoly
 from .errors import (FitFailure, JetzetaError, LimitMismatchError,
                      MalformedDataError, ParseError, ResourceLimitError)
@@ -203,9 +203,11 @@ def cmd_zeta(cfg: RunConfig) -> Outcome:
     else:
         M = 8
     d = f.n_vars
+    candidates = _zeta_candidates(res, d)
+    # a candidate set past the fit's subset budget fails before any count
+    fit_candidates(candidates)
     prefix = zeta_via_jets(f, at, d, M, prime_budget=cfg.primes,
                            node_budget=cfg.node_budget)
-    candidates = _zeta_candidates(res, d)
     report: dict = {"command": "zeta", "f": cfg.poly,
                     "at": [str(c) for c in at], "d": d, "M": M,
                     "prefix": [p.to_json() for p in prefix]}
@@ -430,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except LimitMismatchError as exc:
         print(f"oracle disagreement: {exc}", file=sys.stderr)

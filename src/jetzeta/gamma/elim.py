@@ -10,6 +10,7 @@ elimination with row normalization and dominance pruning is plenty.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -69,19 +70,12 @@ def _eliminate_var(rows: list[Ineq], j: int) -> list[Ineq]:
 def _as_rows(n: int,
              eqs: Iterable[tuple[Sequence, object]],
              ineqs: Iterable[tuple[Sequence, object, bool]]) -> list[Ineq]:
+    # an equality <c, x> = r is the two weak rows (c, r) and (-c, -r)
+    weak = (row for c, r in eqs
+            for row in ((c, r, False),
+                        ([-Fraction(x) for x in c], -Fraction(r), False)))
     rows: list[Ineq] = []
-    for coeffs, rhs in eqs:
-        c = tuple(Fraction(x) for x in coeffs)
-        r = Fraction(rhs)
-        if len(c) != n:
-            raise ValueError("row length does not match ambient dimension")
-        if any(c):
-            rows.append(_normalize(c, r, False))
-            rows.append(_normalize(tuple(-x for x in c), -r, False))
-        elif r != 0:
-            # 0 = nonzero: encode as an unsatisfiable constant row
-            rows.append((tuple(Fraction(0) for _ in range(n)), Fraction(-1), False))
-    for coeffs, rhs, strict in ineqs:
+    for coeffs, rhs, strict in chain(weak, ineqs):
         c = tuple(Fraction(x) for x in coeffs)
         r = Fraction(rhs)
         if len(c) != n:

@@ -30,9 +30,9 @@ count_points memo, dropped before the next field; each count keeps its own
 node budget.  An error raised while building or counting one order stays
 that order's error, and the other orders count on.  class_of_jets
 classifies one order at a time, from such a range or from its own order
-alone, and the count command prints the interp table of its one order;
-collect_counts is the one-system case of the same loop.  The
-residue and trace routes count their own pools, one order at a time.
+alone, and the count command prints the interp table of its one order.
+The residue and trace routes count their own pools, one order at a time,
+with a fresh memo per count (collect_counts for the residue pool).
 
 A fit builds one exact Newton divided-difference table over the counts.
 The interpolant through the first d + 1 counts fits them all exactly when
@@ -147,50 +147,21 @@ def good_primes(f: MultiPoly, sys: JetConstraintSystem | None, count: int,
     return out
 
 
-def _count_by_field(jobs: Sequence[tuple[JetConstraintSystem, Sequence[int]]],
-                    node_budget: int) -> list[CountTable | Exception]:
-    """Count every system of jobs over every field of its pool.
-
-    The fields go in ascending order, and within one field the systems in
-    the order of jobs.  All the counts over one field share one count_points
-    memo, dropped before the next field; each count keeps its own budget.
-    A system whose count raises keeps that error in place of its table and
-    is skipped over the later fields.
-    """
-    counts: list[dict[int, int]] = [{} for _ in jobs]
-    errors: list[Exception | None] = [None] * len(jobs)
-    for q in sorted({q for _, qs in jobs for q in qs}):
-        memo: dict = {}
-        for i, (sys, qs) in enumerate(jobs):
-            if errors[i] is None and q in qs:
-                try:
-                    counts[i][q] = count_points(sys, q, node_budget, memo)
-                except Exception as exc:
-                    errors[i] = exc
-        # a kept error's traceback still reaches the memo through its frames
-        memo.clear()
-    return [err if err is not None
-            else CountTable(tuple((q, got[q]) for q in qs))
-            for err, got, (_, qs) in zip(errors, counts, jobs)]
-
-
 def collect_counts(sys: JetConstraintSystem, qs: Sequence[int],
                    node_budget: int = NODE_BUDGET) -> CountTable:
     """Count table of one system over the fields qs, in the order of qs."""
-    (table,) = _count_by_field([(sys, qs)], node_budget)
-    if isinstance(table, Exception):
-        raise table
-    return table
+    return CountTable(tuple((q, count_points(sys, q, node_budget)) for q in qs))
 
 
 class JetOrders:
     """Systems and interp-route count tables of a range of jet orders.
 
     The first call of interp builds every order's level system and prime
-    pool and counts all the tables field by field (see _count_by_field), so
-    the work runs inside the first class_of_jets call, as it did when each
-    order counted its own table.  An error raised while building or counting
-    an order is kept, and interp re-raises it for that order alone.
+    pool and counts all the tables field by field, one memo per field (see
+    the module docstring), so the work runs inside the first class_of_jets
+    call.  An error raised while building or counting an order is kept, the
+    order is skipped over the later fields, and interp re-raises the error
+    for that order alone.
     """
 
     def __init__(self, f: MultiPoly, x: Sequence, ms: Sequence[int],
@@ -212,15 +183,27 @@ class JetOrders:
 
     def _count(self) -> dict:
         done: dict = {}
-        jobs: dict[int, tuple[JetConstraintSystem, list[int]]] = {}
+        pools: dict[int, tuple[JetConstraintSystem, list[int]]] = {}
         for m in self._ms:
             try:
-                jobs[m] = self._pool(m)
+                pools[m] = self._pool(m)
             except Exception as exc:
                 done[m] = exc
-        tables = _count_by_field(list(jobs.values()), self._node_budget)
-        for (m, (sys, _)), table in zip(jobs.items(), tables):
-            done[m] = table if isinstance(table, Exception) else (sys, table)
+        counts: dict[int, dict[int, int]] = {m: {} for m in pools}
+        for q in sorted({q for _, qs in pools.values() for q in qs}):
+            memo: dict = {}
+            for m, (sys, qs) in pools.items():
+                if m not in done and q in qs:
+                    try:
+                        counts[m][q] = count_points(sys, q, self._node_budget,
+                                                    memo)
+                    except Exception as exc:
+                        done[m] = exc
+            # a kept error's traceback still reaches the memo through its frames
+            memo.clear()
+        for m, (sys, qs) in pools.items():
+            if m not in done:
+                done[m] = (sys, CountTable(tuple((q, counts[m][q]) for q in qs)))
         return done
 
     def interp(self, m: int) -> tuple[JetConstraintSystem, CountTable]:

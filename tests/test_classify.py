@@ -19,7 +19,7 @@ from jetzeta.jets.classify import (ClassPoly, CountTable, JetOrders,
                                    class_of_jets, collect_counts, good_primes,
                                    interpolate_class, lefschetz_via_jets,
                                    milnor_fiber_limit, zeta_via_jets)
-from jetzeta.jets.count import count_points
+from jetzeta.jets.count import NODE_BUDGET, count_points
 from jetzeta.jets.poly import MultiPoly, parse_poly
 from jetzeta.jets.system import build_jet_system
 
@@ -533,4 +533,53 @@ def test_trace_class_failure_stays_a_class_failure(monkeypatch):
                             "trace recurrence order 9 exceeds the cap")
     assert e.value.__cause__ is trace_error
     # the interp table rides along
+    assert e.value.table == JetOrders(cusp, [0, 0], (6,)).interp(6)[1]
+
+
+def test_trace_order_past_the_cap_raises(monkeypatch):
+    cusp = parse_poly("x1^2 + x2^3")
+    sys = build_jet_system(cusp, [0, 0], 6)
+    monkeypatch.setattr(classify, "_TRACE_ORDER_CAP", 1)
+    with pytest.raises(ClassNotPolynomialError,
+                       match="^trace recurrence order 2 exceeds the cap$") as e:
+        classify._trace_route(cusp, sys, 6, NODE_BUDGET)
+    # the table holds the tower's counts so far, over p, p^2, ...
+    p = good_primes(cusp, sys, 1)[0]
+    assert e.value.table.primes == tuple(p ** (k + 1) for k in range(4))
+
+
+def test_trace_towers_that_disagree_raise_with_the_first_table(monkeypatch):
+    cusp = parse_poly("x1^2 + x2^3")
+    sys = build_jet_system(cusp, [0, 0], 6)
+    tables = []
+
+    def chi(seq, rec, table):
+        tables.append(table)
+        return [-1, -3][len(tables) - 1]
+
+    monkeypatch.setattr(classify, "_chi_from_recurrence", chi)
+    with pytest.raises(ClassNotPolynomialError) as e:
+        classify._trace_route(cusp, sys, 6, NODE_BUDGET)
+    assert str(e.value) == "trace route disagrees between towers: [-1, -3]"
+    assert len(tables) == 2 and e.value.table is tables[0]
+
+
+def test_zeta_names_the_term_whose_routes_all_fail(monkeypatch):
+    cusp = parse_poly("x1^2 + x2^3")
+
+    def fail_at_six(route):
+        def wrapped(f, sys, m, *args):
+            if m == 6:
+                raise ClassNotPolynomialError(f"no {route.__name__} at m={m}")
+            return route(f, sys, m, *args)
+        return wrapped
+
+    monkeypatch.setattr(classify, "_residue_route",
+                        fail_at_six(classify._residue_route))
+    monkeypatch.setattr(classify, "_trace_route",
+                        fail_at_six(classify._trace_route))
+    with pytest.raises(ClassNotPolynomialError) as e:
+        zeta_via_jets(cusp, [0, 0], 2, 6)
+    assert str(e.value).startswith(
+        "zeta term m=6: all classification routes failed for m=6:")
     assert e.value.table == JetOrders(cusp, [0, 0], (6,)).interp(6)[1]

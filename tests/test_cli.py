@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import jetzeta
+import jetzeta.cli as cli
 import jetzeta.jets.classify as classify
 from jetzeta.cli import main
-from jetzeta.errors import ClassNotPolynomialError, ResourceLimitError
+from jetzeta.errors import (ClassNotPolynomialError, LimitMismatchError,
+                            ResourceLimitError)
 from jetzeta.gamma.cells import PolySet
 from jetzeta.gamma.zeta import AffineFormPW
 from jetzeta.jets.count import count_points
@@ -278,6 +284,58 @@ def test_resource_limit_exit_4(capsys):
                  "--node-budget", "5"])
     assert code == 4
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_hopeless_zeta_fit_fails_before_counting(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(classify, "count_points",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["zeta", "-f", "x1*x2*x3", "-M", "7"]) == 4
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", "resource limit: ds_fit candidate multiset has too many subsets\n")
+    assert calls == []
+
+
+def _limit_address_space():
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [
+    ["lefschetz", "-f", "x1^2", "-m", "1000000000"],
+    ["count", "-f", "x1^2", "-m", "1000000000"],
+    ["zeta", "-f", "x1^2", "-M", "100000000"],
+])
+def test_out_of_memory_exits_4(argv):
+    # only ever under the 2 GiB address-space limit: unbounded, these runs
+    # would take what memory the machine has
+    src = str(Path(jetzeta.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "jetzeta.cli", *argv],
+                         capture_output=True, text=True, env=env,
+                         preexec_fn=_limit_address_space, timeout=300)
+    assert run.returncode == 4
+    assert run.stderr == "resource limit: out of memory\n"
+    assert run.stdout == ""
+
+
+def test_polytope_series_mismatch_exits_3(capsys, tmp_path, monkeypatch):
+    def mismatch(*args):
+        raise LimitMismatchError("limit 2 is not -chi = 1")
+
+    monkeypatch.setattr(cli, "zeta_polytope", mismatch)
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"set": PolySet.interval(0, 1).to_json()}),
+                   encoding="utf-8")
+    code, rep = run_json(capsys, ["polytope", "series", str(box)])
+    assert code == 3
+    assert rep["verdict"] == "MISMATCH"
+    assert rep["detail"] == "limit 2 is not -chi = 1"
 
 
 def test_polytope_chi_alpha_series(capsys, tmp_path):
