@@ -5,20 +5,33 @@ of F_p[x]/(modulus) for an extension field.  Extension multiplication runs
 through discrete EXP/LOG tables built once per field, so bulk operations
 vectorize with numpy.
 
-EXP lists g^0, g^1, ... for the generator g, built in blocks of digit
-planes (one small-int array per base-p digit).  A base block of
-_BASE_BLOCK columns is filled by doubling: columns s..2s-1 are columns
-0..s-1 times g^s.  The block at t0 is the base block times g^t0, that is
-k^2 scalar-times-plane multiply-adds with the matrix of multiplication by
-g^t0, reduced mod p and packed into the int32 EXP.  The planes are int16
-when no sum of k products of digits can reach 2^15, else int64.  A float64
-matmul would take fewer numpy calls, but BLAS runs it on a second thread:
-in a trial that raised CPU time and peak memory of the extension-field
-benchmark, while the integer planes stay on one thread.
+EXP lists g^0, g^1, ... for the generator g.  With N = (q - 1) / (p - 1),
+c = g^N is a constant polynomial that generates F_p^*, so EXP[t + iN] =
+c^i * EXP[t]: only EXP[:N] is multiplied out, and the other p - 2 cosets of
+F_p^* are F_p-scalar multiples of it (for p = 2, N = q - 1).
 
-LOG is filled from EXP block by block over the same blocks, LOG[EXP[t]] = t,
-with LOG[0] = -1.  A field of q elements holds 8q bytes of int32 tables,
-plus O(k * _BASE_BLOCK) bytes of temporaries while it builds.
+EXP[:N] is built in blocks of digit planes (one small-int array per base-p
+digit).  A base block of _BASE_BLOCK columns is filled by doubling: columns
+s..2s-1 are columns 0..s-1 times g^s.  The block at t0 is the base block
+times g^t0, that is k^2 scalar-times-plane multiply-adds with the matrix of
+multiplication by g^t0, one output digit at a time, each reduced mod p and
+packed straight into the int32 EXP.  The planes are int16 when no sum of k
+products of digits can reach 2^15, else int64.  A float64 matmul would take
+fewer numpy calls, but BLAS runs it on a second thread: in a trial that
+raised CPU time and peak memory of the extension-field benchmark, while the
+integer planes stay on one thread.
+
+A scalar acts on a packed element digit by digit, with no carries, so each
+scaled coset is two gathers per element from a table of p^ceil(k/2)
+entries (ExtField._scale_rows).
+
+LOG (LOG[EXP[t]] = t, LOG[0] = -1, int32) and CHI (the quadratic character,
+int8) are built on first read, scattered from EXP block by block.  A field
+of q elements holds 4q bytes of EXP from construction, 4q more once LOG is
+read and q more once CHI is, and each build holds O(_BASE_BLOCK +
+p^ceil(k/2)) bytes of temporaries.  mul, pow and inv take residue
+arithmetic on the prime subfield, the elements below p, and chi2 and
+chi2_v read CHI, so counts whose scalars lie in F_p never build LOG.
 
 addc_v adds one field element to a vector without broadcasting it first.
 The prime subfield of an extension field is its elements below p, the
@@ -26,10 +39,10 @@ constant polynomials, so adding one of them touches only digit 0 of each
 element; other constants fall back to add_v.  The low digit is taken as
 a - a // p * p: numpy divides by a scalar fast and takes a remainder slowly.
 
-ExtField.pow_v and chi2_v are mask-free: one LOG gather over the whole
-vector, zeros included (LOG[0] = -1, which pow_v reduces to an exponent in
-range like any other), then the entries where a == 0 are multiplied to
-zero, with no boolean gather and scatter.
+ExtField.pow_v is mask-free: one LOG gather over the whole vector, zeros
+included (LOG[0] = -1, which it reduces to an exponent in range like any
+other), then the entries where a == 0 are multiplied to zero, with no
+boolean gather and scatter.
 """
 
 from __future__ import annotations
@@ -249,6 +262,29 @@ def _is_irreducible(modulus: list[int], p: int, k: int) -> bool:
     return True
 
 
+class _BuiltOnFirstRead:
+    """A table that the decorated method builds when it is first read.
+
+    The build runs under _FIELD_LOCK, so threads that read a fresh table at
+    once share one array.  The table is stored on the instance, where later
+    reads find it before this descriptor."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, field, owner=None):
+        if field is None:
+            return self
+        with _FIELD_LOCK:
+            table = field.__dict__.get(self.name)
+            if table is None:
+                table = field.__dict__[self.name] = self.build(field)
+        return table
+
+
 class ExtField:
     """F_(p^k) as F_p[x]/(modulus) with packed-digit int elements."""
 
@@ -278,10 +314,11 @@ class ExtField:
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
-        # generator: smallest packed element of full multiplicative order
+        # generator: smallest packed element of full multiplicative order;
+        # the constants below p have orders dividing p - 1 < q - 1
         fac = list(factorize(q - 1))
         one = [1] + [0] * (k - 1)
-        for packed in range(2, q):
+        for packed in range(p, q):
             gen_digits = _digits(packed, p, k)
             if all(_poly_pow(gen_digits, (q - 1) // ell, self.modulus, p) != one
                    for ell in fac):
@@ -290,62 +327,144 @@ class ExtField:
             raise AssertionError("no generator found")
         self.generator = packed
 
-        # EXP: a base block of digit planes, then each later block as the
-        # base times g^t0, k^2 scalar-times-plane products per block
+        # c = g^N generates F_p^*, so EXP seen as p - 1 rows of N is row 0
+        # times 1, c, c^2, ...: only row 0 is multiplied out on digit planes
+        n = (q - 1) // (p - 1)
+        c = _poly_pow(gen_digits, n, self.modulus, p)
+        assert not any(c[1:]), "g^N is not in the prime subfield"
+        exp = np.empty(q - 1, dtype=np.int32)
+        self._powers(gen_digits, exp[:n])
+        self._scale_rows(c[0], exp.reshape(p - 1, n))
+        self.EXP = exp
+
+    def _powers(self, gen: list[int], out: np.ndarray) -> None:
+        """out[t] = gen^t, packed, block by block as the module docstring
+        describes."""
+        p, k, n = self.p, self.k, len(out)
         dtype = np.int16 if k * (p - 1) ** 2 < 1 << 15 else np.int64
-        B = min(_BASE_BLOCK, q - 1)
+        B = min(_BASE_BLOCK, n)
         base = np.zeros((k, B), dtype=dtype)
         base[0, 0] = 1
-        step, g_step = 1, gen_digits
+        acc, tmp = np.empty(B, dtype=dtype), np.empty(B, dtype=dtype)
+        step, g_step = 1, gen
         while step < B:
             width = min(step, B - step)
-            self._times(g_step, base, width, base[:, step:step + width])
+            cols = self._matrix(g_step)
+            for i in range(k):
+                self._digit(cols, i, base, width, base[i, step:step + width], tmp)
             step *= 2
             g_step = _poly_mul_mod(g_step, g_step, self.modulus, p)
         # g^B, one step past the base block's last column
-        g_block = _poly_mul_mod([int(d) for d in base[:, B - 1]], gen_digits,
+        g_block = _poly_mul_mod([int(d) for d in base[:, B - 1]], gen,
                                 self.modulus, p)
-        exp = np.empty(q - 1, dtype=np.int32)
+        g_t0 = [1] + [0] * (k - 1)
+        for t0 in range(0, n, B):
+            width = min(B, n - t0)
+            cols = self._matrix(g_t0)
+            # pack the digits high first: seg = sum of digit_i * p^i
+            seg = out[t0:t0 + width]
+            for i in range(k - 1, -1, -1):
+                digit = (base[i, :width] if t0 == 0
+                         else self._digit(cols, i, base, width, acc, tmp))
+                if i == k - 1:
+                    seg[:] = digit
+                else:
+                    seg *= p
+                    seg += digit
+            g_t0 = _poly_mul_mod(g_t0, g_block, self.modulus, p)
+
+    def _matrix(self, elt: list[int]) -> list[list[int]]:
+        """Columns of the matrix of multiplication by elt."""
+        p, k = self.p, self.k
+        return [_poly_mul_mod([int(i == j) for i in range(k)], elt,
+                              self.modulus, p) for j in range(k)]
+
+    def _digit(self, cols: list[list[int]], i: int, planes: np.ndarray,
+               width: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Digit i of the product of the first width columns of planes by
+        the matrix cols: sum_j cols[j][i] * planes[j] mod p, into out."""
+        acc, t = out[:width], tmp[:width]
+        acc[:] = 0
+        for j, col in enumerate(cols):
+            if col[i] == 1:
+                acc += planes[j, :width]
+            elif col[i]:
+                np.multiply(planes[j, :width], col[i], out=t)
+                acc += t
+        # numpy divides by a scalar fast, and takes a remainder slowly
+        np.floor_divide(acc, self.p, out=t)
+        t *= self.p
+        acc -= t
+        return acc
+
+    def _scale_rows(self, c: int, rows: np.ndarray) -> None:
+        """rows[i] = c^i * rows[0] for i >= 1, with c in F_p^*.
+
+        Scaling acts digit by digit, with no carries, so with v = hi * P +
+        lo, P = p^h and h = ceil(k / 2), c^i v = S_i[hi] * P + S_i[lo] for
+        the P-entry table S_i of c^i on h-digit numbers.  S_1 is built on
+        the digits, and S_(i+r) = S_r[S_i] by one gather.  Rows are filled
+        r at a time, with r * N <= _BASE_BLOCK when a row of N is short,
+        in column chunks of _BASE_BLOCK when it is long, so the tables and
+        temporaries are O(_BASE_BLOCK + P)."""
+        p, k = self.p, self.k
+        m, n = rows.shape
+        if m == 1:
+            return
+        h = (k + 1) // 2
+        P = p ** h
+        x = np.arange(P, dtype=np.int32)
+        s_c = np.zeros(P, dtype=np.int32)
+        for d in range(h):
+            s_c += x // p ** d % p * c % p * p ** d
+        r = min(m - 1, max(1, _BASE_BLOCK // n))
+        first = np.empty((r, P), dtype=np.int32)
+        first[0] = s_c
+        for j in range(1, r):
+            np.take(s_c, first[j - 1], out=first[j])
+        w = min(n, _BASE_BLOCK)
+        buf = np.empty(r * w, dtype=np.int32)
+        n_hi = p ** (k - h)
+        for t0 in range(0, n, w):
+            width = min(w, n - t0)
+            hi = (rows[0, t0:t0 + width] // P).astype(np.intp)
+            lo = rows[0, t0:t0 + width] - hi * P
+            tables = first
+            for i0 in range(1, m, r):
+                rr = min(r, m - i0)
+                block = rows[i0:i0 + rr, t0:t0 + width]
+                low = buf[:rr * width].reshape(rr, width)
+                # mode "clip" gathers straight into out; "raise" buffers it
+                np.take(tables[:rr, :n_hi] * P, hi, axis=1, out=block,
+                        mode="clip")
+                np.take(tables[:rr], lo, axis=1, out=low, mode="clip")
+                block += low
+                if i0 + r < m:
+                    tables = np.take(first[-1], tables)
+
+    @_BuiltOnFirstRead
+    def LOG(self) -> np.ndarray:
+        """LOG[EXP[t]] = t and LOG[0] = -1, scattered from EXP block by
+        block, so that no temporary grows with q."""
+        q, exp, B = self.q, self.EXP, _BASE_BLOCK
         log = np.empty(q, dtype=np.int32)
         log[0] = -1
-        planes = np.empty_like(base)
-        g_t0 = one
         for t0 in range(0, q - 1, B):
-            width = min(B, q - 1 - t0)
-            block = base if t0 == 0 else self._times(g_t0, base, width, planes)
-            # pack the digits low first: exp = sum of digit_i * p^i
-            seg = exp[t0:t0 + width]
-            seg[:] = block[k - 1, :width]
-            for i in range(k - 2, -1, -1):
-                seg *= p
-                seg += block[i, :width]
-            g_t0 = _poly_mul_mod(g_t0, g_block, self.modulus, p)
-        # LOG block by block from EXP: the blocks together write every slot
-        # but LOG[0], and no temporary grows with q.  A scatter inside the
-        # loop above, while each block is hot, built 7^8 more slowly.
-        for t0 in range(0, q - 1, B):
-            log[exp[t0:t0 + B]] = np.arange(t0, min(t0 + B, q - 1), dtype=np.int32)
-        self.EXP = exp
-        self.LOG = log
-        assert log[1] == 0
+            np.put(log, exp[t0:t0 + B],
+                   np.arange(t0, min(t0 + B, q - 1), dtype=np.int32))
+        return log
 
-    def _times(self, elt: list[int], planes: np.ndarray, width: int,
-               out: np.ndarray) -> np.ndarray:
-        """Digit planes of elt times the first width columns of planes,
-        written into out: digit i is sum_j M[i][j] * planes[j] mod p, with
-        M the matrix of multiplication by elt."""
-        p, k = self.p, self.k
-        cols = [_poly_mul_mod([int(i == j) for i in range(k)], elt,
-                              self.modulus, p) for j in range(k)]
-        for i in range(k):
-            acc = out[i, :width]
-            acc[:] = 0
-            for j in range(k):
-                if cols[j][i]:
-                    acc += cols[j][i] * planes[j, :width]
-            # numpy divides by a scalar fast, and takes a remainder slowly
-            acc -= acc // p * p
-        return out
+    @_BuiltOnFirstRead
+    def CHI(self) -> np.ndarray:
+        """The quadratic character as int8: 0 at 0, +1 on the even powers
+        EXP[::2] and -1 on the odd ones, or +1 on every unit when p = 2."""
+        q, exp, B = self.q, self.EXP, 2 * _BASE_BLOCK
+        chi = np.full(q, 1 if self.p == 2 else -1, dtype=np.int8)
+        chi[0] = 0
+        if self.p > 2:
+            for t0 in range(0, q - 1, B):
+                np.put(chi, exp[t0:t0 + B:2], 1)
+        return chi
 
     def from_int(self, c: int) -> int:
         return c % self.p
@@ -372,6 +491,8 @@ class ExtField:
         return out
 
     def mul(self, a: int, b: int) -> int:
+        if a < self.p and b < self.p:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         return int(self.EXP[(int(self.LOG[a]) + int(self.LOG[b])) % (self.q - 1)])
@@ -381,19 +502,19 @@ class ExtField:
             if e == 0:
                 return 1
             return 0
+        if a < self.p:
+            return pow(a, e % (self.p - 1), self.p)
         return int(self.EXP[(int(self.LOG[a]) * (e % (self.q - 1))) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
+        if a < self.p:
+            return pow(a, self.p - 2, self.p)
         return int(self.EXP[(self.q - 1 - int(self.LOG[a])) % (self.q - 1)])
 
     def chi2(self, a: int) -> int:
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return 1
-        return 1 if int(self.LOG[a]) % 2 == 0 else -1
+        return int(self.CHI[a])
 
     def sqrt(self, a: int) -> int | None:
         if a == 0:
@@ -465,14 +586,7 @@ class ExtField:
         return out
 
     def chi2_v(self, a: np.ndarray) -> np.ndarray:
-        nonzero = a != 0
-        if self.p == 2:
-            return nonzero.astype(np.int64)
-        out = (self.LOG[a] & 1).astype(np.int64)
-        out *= -2
-        out += 1
-        out *= nonzero
-        return out
+        return self.CHI[a].astype(np.int64)
 
     def all_elements(self) -> np.ndarray:
         return np.arange(self.q, dtype=np.int64)
@@ -482,8 +596,9 @@ class ExtField:
 
 
 _FIELD_CACHE: dict[int, object] = {}
-# callers may run count_points from several threads, and the eviction below
-# iterates the cache
+# callers may run count_points from several threads: the lock guards the
+# cache, whose eviction below iterates it, and the tables that a field
+# builds on first read
 _FIELD_LOCK = threading.Lock()
 
 

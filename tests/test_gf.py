@@ -125,7 +125,8 @@ def _ext_fields(q_max: int) -> list[tuple[int, int]]:
 
 # every extension field up to 20 000 elements: the p = 2 towers, and from
 # 131^2 on (2 * 130^2 >= 2^15) fields whose digit planes are int64; a base
-# block of 61 columns makes most of them span several blocks
+# block of 61 columns makes most of them span several blocks, and makes the
+# F_p^*-scaled rows of EXP fill in column chunks or several rows at once
 @pytest.mark.parametrize("block", [gf._BASE_BLOCK, 61])
 @pytest.mark.parametrize("p,k", _ext_fields(20_000))
 def test_ext_tables_match_repeated_multiplication(p, k, block, monkeypatch):
@@ -147,6 +148,9 @@ def test_ext_tables_match_repeated_multiplication(p, k, block, monkeypatch):
     assert F.LOG.tolist() == log
     assert np.array_equal(F.LOG[F.EXP], np.arange(F.q - 1))
     assert F.LOG[0] == -1
+    assert F.CHI.dtype == np.int8
+    assert F.CHI.tolist() == [0] + [1 if p == 2 or t % 2 == 0 else -1
+                                    for t in log[1:]]
 
 
 # SHA-256 of EXP.tobytes() and LOG.tobytes(), the modulus and the generator
@@ -173,12 +177,16 @@ def test_large_tables_pinned(p, k):
     assert hashlib.sha256(F.LOG.tobytes()).hexdigest() == log_sha
     assert F.modulus == modulus
     assert F.generator == generator
+    assert F.CHI[0] == 0
+    assert np.array_equal(F.CHI[1:], 1 - 2 * (F.LOG[1:] & 1))
 
 
-@pytest.mark.parametrize("p,k", [(3, 11), (257, 2)])
+@pytest.mark.parametrize("p,k", [(3, 11), (257, 2), (1009, 2)])
 def test_ext_tables_step_by_generator_across_blocks(p, k):
-    # q - 1 > 2^16, so EXP spans several full-size blocks; EXP[0] = 1 and
-    # EXP[t + 1] = g * EXP[t], multiplied out on the digits, give EXP[t] = g^t
+    # q - 1 > 2^16, so EXP spans several full-size blocks (1009^2 has rows
+    # of N = 1010 < 2^16, and 1007 of them are scaled from the first);
+    # EXP[0] = 1 and EXP[t + 1] = g * EXP[t], multiplied out on the digits,
+    # give EXP[t] = g^t
     F = ExtField(p, k)
     assert F.q - 1 > gf._BASE_BLOCK
     g = _digits(F.generator, p, k)
@@ -276,6 +284,32 @@ def test_ext_kernels_match_scalar_ops(data):
     assert np.array_equal(a, snapshot)
 
 
+def test_ext_scalar_ops_match_log_formulas():
+    # mul, pow and inv take residue arithmetic on operands below p, and read
+    # LOG on the others; chi2 reads CHI.  Over F_(5^3) all of them agree with
+    # the LOG formulas, and the prime subfield alone never builds LOG.
+    F = ExtField(5, 3)
+    n, es = F.q - 1, range(-2, 2 * F.q)
+    sub = [(F.mul(a, b), [F.pow(a, e) for e in es], F.inv(a or 1))
+           for a in range(F.p) for b in range(F.p)]
+    assert "LOG" not in F.__dict__
+    exp, log = F.EXP.tolist(), F.LOG.tolist()
+
+    def mul(a: int, b: int) -> int:
+        return exp[(log[a] + log[b]) % n] if a and b else 0
+
+    def pow_(a: int, e: int) -> int:
+        return exp[log[a] * e % n] if a else int(e == 0)
+
+    assert sub == [(mul(a, b), [pow_(a, e) for e in es], exp[-log[a or 1] % n])
+                   for a in range(F.p) for b in range(F.p)]
+    for a in range(F.q):
+        assert F.chi2(a) == (1 - 2 * (log[a] % 2) if a else 0)
+        assert F.inv(a or 1) == exp[-log[a or 1] % n]
+        assert [F.pow(a, e) for e in es] == [pow_(a, e) for e in es]
+        assert [F.mul(a, b) for b in range(F.q)] == [mul(a, b) for b in range(F.q)]
+
+
 def test_ext_field_embeds_prime_subfield():
     F = ExtField(7, 2)
     for a in range(7):
@@ -329,36 +363,85 @@ def test_make_field_from_threads():
     assert len([q for q in gf._FIELD_CACHE if q > 100_000]) == 1
 
 
-def test_ext_table_build_memory():
-    # LOG is filled block by block: the build holds EXP, LOG and temporaries
-    # of O(k * _BASE_BLOCK), where a whole-table scatter held 24 MB more;
-    # tracemalloc sees numpy buffers
+def _traced_peak(build):
+    """build() and the peak of traced memory above what was held before."""
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        F = ExtField(7, 8)
+        out = build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base - F.EXP.nbytes - F.LOG.nbytes < 6 << 20
+    return out, peak - base
+
+
+def test_ext_table_build_memory():
+    # each table's build holds that table and temporaries of O(_BASE_BLOCK +
+    # p^ceil(k/2)): EXP at construction, LOG and CHI, scattered from EXP block
+    # by block, when first read; a whole-table LOG scatter held 24 MB more.
+    # tracemalloc sees numpy buffers.
+    F, peak = _traced_peak(lambda: ExtField(7, 8))
+    assert "LOG" not in F.__dict__ and "CHI" not in F.__dict__
+    assert peak - F.EXP.nbytes < 6 << 20
+    log, peak = _traced_peak(lambda: F.LOG)
+    assert peak - log.nbytes < 6 << 20
+    chi, peak = _traced_peak(lambda: F.CHI)
+    assert peak - chi.nbytes < 6 << 20
+
+
+def test_ext_table_build_memory_near_the_budget():
+    # 5477^2 < _MAX_TABLE_FIELD: 5475 rows of N = 5478 elements scaled from
+    # the first, r = 11 at a time; construction only, LOG would be 120 MB
+    F, peak = _traced_peak(lambda: ExtField(5477, 2))
+    assert peak - F.EXP.nbytes < 6 << 20
 
 
 def test_make_field_frees_the_old_large_field_first():
-    # the 7^7 tables are evicted before the 7^8 build starts, so the two
-    # never coexist
+    # the 7^7 tables, all three of them read, are evicted before the 7^8
+    # build starts, so the two fields never coexist
     gf._FIELD_CACHE.clear()
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        make_field(7 ** 7)
+        old = make_field(7 ** 7)
+        assert old.LOG.nbytes + old.CHI.nbytes + old.EXP.nbytes > 6 << 20
+        del old
         tracemalloc.reset_peak()
         F = make_field(7 ** 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         gf._FIELD_CACHE.clear()
-    assert peak - base - F.EXP.nbytes - F.LOG.nbytes < 6 << 20
+    assert peak - base - F.EXP.nbytes < 6 << 20
+
+
+def test_first_read_builds_one_table_across_threads():
+    # LOG and CHI are built under _FIELD_LOCK: threads that read them from a
+    # fresh field at once share one array
+    F = ExtField(7, 7)
+    barrier = threading.Barrier(4)
+    got: dict[str, list] = {"LOG": [], "CHI": []}
+
+    def read(name: str) -> None:
+        barrier.wait()
+        got[name].append(getattr(F, name))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name in got:
+            threads = [threading.Thread(target=read, args=(name,))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    for name, tables in got.items():
+        assert len(tables) == 4
+        assert all(table is getattr(F, name) for table in tables), name
 
 
 def test_field_size_budget():
