@@ -14,11 +14,18 @@ the fast path carry their per-coordinate (lo, hi, is_point) pieces, the data
 the lattice and zeta series are built from; faces of the general path carry
 a row for every hyperplane, one of which mixes coordinates, and have none.
 _faces_of is the one place that keeps the faces lying inside a live cell.
+On axis-only sets it never builds the others: a live cell is then the
+product of per-axis sets whose ends are breakpoints, so a face lies in it
+exactly when each of its pieces lies in the cell's set on that axis.  That
+is decided once per (cell, axis, piece) from the piece's sample coordinate,
+and a Face is built only for the index tuples inside some live cell, in the
+order arrangement_faces lists them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,7 +114,7 @@ class RationalCell:
         p = [_frac(x) for x in point]
         if len(p) != self.n:
             raise ValueError("point dimension mismatch")
-        dot = lambda c: sum(ci * xi for ci, xi in zip(c, p))
+        dot = lambda c: sum(ci * xi for ci, xi in zip(c, p) if ci)
         return (all(dot(c) == d for c, d in self.eq)
                 and all(dot(c) < d for c, d in self.lt)
                 and all(dot(c) <= d for c, d in self.le))
@@ -239,43 +246,38 @@ def _axis_rows_only(cells: Iterable[RationalCell]) -> bool:
     return True
 
 
-def _axis_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
+def _axis_parts(cells: Sequence[RationalCell], n: int) -> list[list[tuple]]:
+    """Per axis, in ascending order, the points and open intervals that the
+    cells' breakpoints cut it into, as (piece, sample coordinate, eq rows,
+    lt rows) with piece = (lo, hi, is_point)."""
     breaks: list[set[Fraction]] = [set() for _ in range(n)]
     for cell in cells:
         for coeffs, rhs in (*cell.eq, *cell.lt, *cell.le):
             for j, c in enumerate(coeffs):
                 if c:
                     breaks[j].add(rhs / c)
-    axis_pieces: list[list[tuple]] = []
-    for j in range(n):
-        pieces: list[tuple] = []  # (lo, hi, is_point)
-        prev = None
-        for v in sorted(breaks[j]):
-            pieces.append((prev, v, False))
-            pieces.append((v, v, True))
-            prev = v
-        pieces.append((prev, None, False))
-        axis_pieces.append(pieces)
-    faces = []
     unit = lambda j, s: tuple(s if i == j else 0 for i in range(n))
-    for combo in itertools.product(*axis_pieces):
-        eq, lt = [], []
-        dim = 0
-        sample = []
-        for j, (lo, hi, is_point) in enumerate(combo):
-            if is_point:
-                eq.append((unit(j, 1), lo))
-                sample.append(lo)
-                continue
-            dim += 1
-            if lo is not None:
-                lt.append((unit(j, -1), -lo))
+    axis_parts: list[list[tuple]] = []
+    for j in range(n):
+        ends = [None, *sorted(breaks[j]), None]
+        parts: list[tuple] = []
+        for lo, hi in zip(ends, ends[1:]):
+            lt = tuple((unit(j, s), s * v) for s, v in ((-1, lo), (1, hi))
+                       if v is not None)
+            parts.append(((lo, hi, False), _inside(lo, hi), (), lt))
             if hi is not None:
-                lt.append((unit(j, 1), hi))
-            sample.append(_inside(lo, hi))
-        faces.append(Face(RationalCell(n, tuple(eq), tuple(lt), ()),
-                          dim, tuple(sample), combo))
-    return faces
+                parts.append(((hi, hi, True), hi, ((unit(j, 1), hi),), ()))
+        axis_parts.append(parts)
+    return axis_parts
+
+
+def _axis_face(parts: Sequence[tuple]) -> Face:
+    """The open face that is the product of one part per axis."""
+    pieces = tuple(part[0] for part in parts)
+    cell = RationalCell(len(parts), tuple(r for part in parts for r in part[2]),
+                        tuple(r for part in parts for r in part[3]), ())
+    return Face(cell, sum(not is_point for _, _, is_point in pieces),
+                tuple(part[1] for part in parts), pieces)
 
 
 def _hyperplane_key(coeffs: Sequence[int], rhs: Fraction) -> Row:
@@ -350,7 +352,7 @@ def arrangement_faces(cells: Sequence[RationalCell], n: int) -> list[Face]:
             f"ambient dimension {n} exceeds the supported bound {MAX_AMBIENT_DIM}")
     live = [c for c in cells if not c.is_empty()]
     if _axis_rows_only(live):
-        return _axis_faces(live, n)
+        return list(map(_axis_face, itertools.product(*_axis_parts(live, n))))
     return _general_faces(live, n)
 
 
@@ -361,8 +363,25 @@ def _faces_of(cells: Sequence[RationalCell], n: int,
     live = [c for c in cells if not c.is_empty()]
     if not live:
         return []
-    faces = arrangement_faces([*live, *guards], n)
-    return [f for f in faces if any(f.inside(c) for c in live)]
+    walls = [*live, *(g for g in guards if not g.is_empty())]
+    if n > MAX_AMBIENT_DIM or not _axis_rows_only(walls):
+        faces = arrangement_faces(walls, n)
+        return [f for f in faces if any(f.inside(c) for c in live)]
+    # per axis, the pieces inside each live cell (see the module docstring)
+    axis_parts = _axis_parts(walls, n)
+    kept: set[tuple[int, ...]] = set()
+    for cell in live:
+        rows = [(c, d, op) for op, group in ((operator.eq, cell.eq),
+                                             (operator.lt, cell.lt),
+                                             (operator.le, cell.le))
+                for c, d in group]
+        kept.update(itertools.product(*(
+            [i for i, (_, x, _, _) in enumerate(parts)
+             if all(op(c[j] * x, d) for c, d, op in rows if c[j])]
+            for j, parts in enumerate(axis_parts))))
+    # itertools.product runs through index tuples in lexicographic order
+    return [_axis_face([parts[i] for parts, i in zip(axis_parts, idx)])
+            for idx in sorted(kept)]
 
 
 def decompose_open(S: PolySet) -> PolySet:

@@ -12,7 +12,11 @@ Each term crosses every coordinate with a nonzero form coefficient a
 (points aside) exactly once, through a geometric sum over 1 - U^(-a), so the
 whole face shares the U-denominator prod (1 - U^(-a_i)): numerators are
 summed over it and divided out once at the end, and no U-rational type is
-needed.
+needed.  That division runs on integers: each numerator row is packed once
+(laurent._pack, U -> 2^w), each factor is one big-integer divmod by
+2^(w*g) - 1, g = |a|, with a sign or a shift, and the row is unpacked once.
+The width w bounds every quotient and remainder digit the division meets,
+so a nonzero integer remainder is exactly a polynomial one (_divided).
 
 Faces that mix coordinates are enumerated to finitely many s_m and fitted
 with ds_fit against structural candidate factors read off the face's closure
@@ -34,7 +38,7 @@ from math import ceil, comb, floor, lcm
 from typing import Iterable, Sequence
 
 from ..algebra.dagger import DaggerSeries, ds_fit
-from ..algebra.laurent import LaurentPoly
+from ..algebra.laurent import LaurentPoly, _digit_width, _pack, _unpack
 from ..errors import (
     LimitMismatchError, LimitUndefined, ResourceLimitError, UnboundedInputError,
 )
@@ -104,6 +108,43 @@ def _eulerian(d: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # closed-form engine for separable faces
 
+def _divided(c: LaurentPoly, udiv: Sequence[int]) -> LaurentPoly:
+    """c / prod (1 - U^(-a)) over a in udiv, every a nonzero; raises
+    ValueError("not exactly divisible") when the product does not divide c.
+
+    Each factor is -(U^g - 1) with g = -a for a < 0, and U^(-a) * (U^g - 1)
+    with g = a for a > 0.  So the row is packed once (U -> 2^w), divided by
+    each 2^(w*g) - 1 in one big-integer divmod, negated or shifted per
+    factor, and unpacked once.
+
+    Why w is wide enough: long division of N by U^g - 1 from the top gives
+    suffix sums of N's coefficients along the residue classes mod g, both as
+    quotient digits and as the digits of the low-end remainder (degree < g).
+    Each has absolute value at most ||N||_1, so the quotient's l1 norm is at
+    most span * ||N||_1, span the number of digits of c.  Over k factors
+    every digit met is at most ||c||_1 * span^(k-1), which
+    w = _digit_width(||c||_1 * span^(k-1)) holds with room to spare.  The
+    remainder's value at U = 2^w is then smaller in absolute value than
+    2^(w*g) - 1, and zero only when all its digits are, so the integer
+    remainder is 0 exactly when the polynomial remainder is 0.
+    """
+    if not udiv or not c._c:
+        return c
+    low = min(c._c)
+    span = max(c._c) - low + 1
+    w = _digit_width(sum(map(abs, c._c.values())) * span ** (len(udiv) - 1))
+    x = _pack(c._c, low, w)
+    for a in udiv:
+        x, r = divmod(x, (1 << w * abs(a)) - 1)
+        if r:
+            raise ValueError("not exactly divisible")
+        if a < 0:
+            x = -x
+        else:
+            low += a
+    return LaurentPoly._raw(_unpack(x, low, w))
+
+
 def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
                         b_const: int) -> DaggerSeries:
     """Exact zeta of one open face that is a product of points and open
@@ -112,10 +153,8 @@ def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
     for lo, hi, is_point in pieces:
         R = lcm(R, lo.denominator, hi.denominator)
     # every term crosses each geometric coordinate once, over 1 - U^(-a)
-    udiv = LaurentPoly.one()
-    for (_, _, is_point), a in zip(pieces, a_coeffs):
-        if a and not is_point:
-            udiv = udiv * LaurentPoly({0: 1, -a: -1})
+    udiv = [a for (_, _, is_point), a in zip(pieces, a_coeffs)
+            if a and not is_point]
     # (t, coeff) numerator items keyed by (g, k): denominator (1 - U^g T^R)^k
     groups: dict[tuple[int, int], list[tuple[int, LaurentPoly]]] = {}
     for sigma in range(R):
@@ -165,7 +204,7 @@ def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
                  for (g, k), items in groups.items()), DaggerSeries.zero())
     # udiv divides every coefficient exactly because each s_m is a Laurent
     # polynomial in U
-    return DaggerSeries({t: c.divide_exact(udiv) for t, c in total.num.items()},
+    return DaggerSeries({t: _divided(c, udiv) for t, c in total.num.items()},
                         total.den)
 
 

@@ -59,11 +59,13 @@ keep the plain scan (they have no EXP table), and so does _uni_roots,
 which needs the roots themselves, not a weighted sum.
 
 The recursion asks each polynomial the same questions many times, so FP
-keeps per-object caches, each filled on first use: one pass over the
-monomials gives the degree in every variable (hence vars_used and deg_in)
-and the bare-linear variables (whose only monomial is v itself, what the
-constant-coefficient linear rule looks for), and coeffs_by_power is
-memoised per variable.  A polynomial is never changed after construction,
+keeps per-object caches, each filled on first use: the degree in every
+variable (hence vars_used and deg_in) is one column-wise max over the
+exponent tuples, tuple(map(max, *monomials)), which runs in C; the
+bare-linear variables (whose only monomial is v itself, what the
+constant-coefficient linear rule looks for) are read off the monomials of
+total degree 1 when first asked for; and coeffs_by_power is memoised per
+variable.  A polynomial is never changed after construction,
 which keeps these caches valid.  Substituting a constant, the common case
 when roots are pinned, works monomial by monomial instead of by Horner's
 rule.
@@ -103,6 +105,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
+from itertools import compress
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -148,7 +151,7 @@ class FP:
         self.F = F
         self.n = n
         self.c = c
-        self._deg: dict[int, int] | None = None
+        self._deg: tuple[int, ...] | None = None
         self._vars: frozenset | None = None
         self._bare: tuple[int, ...] | None = None
         self._by: dict[int, dict[int, FP]] | None = None
@@ -180,22 +183,11 @@ class FP:
         return None
 
     def _profile(self) -> None:
-        """One pass over the monomials: the degree in each variable, and
-        the variables whose only monomial is the bare variable."""
-        deg: dict[int, int] = {}
-        terms: dict[int, int] = {}
-        units = []
-        for e in self.c:
-            support = [(i, k) for i, k in enumerate(e) if k]
-            for i, k in support:
-                if k > deg.get(i, 0):
-                    deg[i] = k
-                terms[i] = terms.get(i, 0) + 1
-            if len(support) == 1 and support[0][1] == 1:
-                units.append(support[0][0])
-        self._deg = deg
-        self._vars = frozenset(deg)
-        self._bare = tuple(sorted(v for v in units if terms[v] == 1))
+        """The degree in each variable, as a column-wise max over the
+        monomials that runs in C; one monomial is its own degree tuple."""
+        c = self.c
+        self._deg = tuple(map(max, *c)) if len(c) > 1 else next(iter(c), (0,) * self.n)
+        self._vars = frozenset(compress(range(self.n), self._deg))
 
     def vars_used(self) -> frozenset:
         if self._vars is None:
@@ -205,13 +197,16 @@ class FP:
     def deg_in(self, v: int) -> int:
         if self._deg is None:
             self._profile()
-        return self._deg.get(v, 0)
+        return self._deg[v]
 
     def bare_linear_vars(self) -> tuple[int, ...]:
         """Sorted variables v whose only monomial is v itself, i.e. those
         the polynomial is linear in with a constant coefficient."""
         if self._bare is None:
-            self._profile()
+            c = self.c
+            units = [e.index(1) for e, d in zip(c, map(sum, c)) if d == 1]
+            self._bare = tuple(sorted(
+                v for v in units if sum(map(bool, map(operator.itemgetter(v), c))) == 1))
         return self._bare
 
     def coeffs_by_power(self, v: int) -> dict[int, "FP"]:

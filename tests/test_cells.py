@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.algebra import LaurentPoly, DaggerSeries
 from jetzeta.errors import (
@@ -16,6 +19,7 @@ from jetzeta.gamma import (
     RationalCell, PolySet, decompose_open, chi, chi_bounded, weight,
     lattice_points, alpha_m, tilde_alpha,
 )
+from jetzeta.cli import main
 from jetzeta.gamma import cells
 from jetzeta.gamma.cells import _faces_of, arrangement_faces
 
@@ -304,3 +308,69 @@ def test_each_cell_checked_for_emptiness_once(monkeypatch):
     assert chi(S) == chi(S) == 0
     assert empty.is_empty() and empty.is_empty()
     assert len(checked) == len(set(checked)) == 2
+
+
+@st.composite
+def axis_cells(draw, n: int) -> RationalCell:
+    # per axis up to two rows c*x_j (=, <, <=) k/2 with c in +-1, +-2: points,
+    # open and closed ends, and empty cells when two rows disagree
+    rows = {"eq": [], "lt": [], "le": []}
+    for j in range(n):
+        for _ in range(draw(st.integers(0, 2))):
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            kind = draw(st.sampled_from(["eq", "lt", "le", "le"]))
+            coeffs = tuple(c if i == j else 0 for i in range(n))
+            rows[kind].append((coeffs, Fraction(draw(st.integers(-4, 4)), 2)))
+    return RationalCell.make(n, **rows)
+
+
+@st.composite
+def axis_unions(draw):
+    n = draw(st.integers(1, 3))
+    live = draw(st.lists(axis_cells(n), min_size=1, max_size=3))
+    guards = draw(st.lists(axis_cells(n), max_size=2))
+    return n, live, guards
+
+
+@seed(20261024)
+@settings(max_examples=300, deadline=None)
+@given(axis_unions())
+def test_axis_faces_of_match_the_filtered_arrangement(union):
+    n, cells_, guards = union
+    live = [c for c in cells_ if not c.is_empty()]
+    want = [f for f in arrangement_faces([*live, *guards], n)
+            if any(f.inside(c) for c in live)]
+    got = _faces_of(cells_, n, guards)
+    assert ([(f.cell, f.dim, f.pieces, f.sample) for f in got]
+            == [(f.cell, f.dim, f.pieces, f.sample) for f in want])
+
+
+# two overlapping closed boxes under a two-piece form whose guards x1 < 1
+# and x1 >= 1 add hyperplanes; the digest was recorded before _faces_of
+# built axis faces only inside their cells
+UNION_SERIES = {
+    "set": {"dim": 3, "cells": [
+        {"eq": [], "lt": [], "le": [[-1, 0, 0, 0], [1, 0, 0, 2], [0, -1, 0, 0],
+                                    [0, 1, 0, "3/2"], [0, 0, -1, 0], [0, 0, 1, 1]]},
+        {"eq": [], "lt": [], "le": [[-1, 0, 0, -1], [1, 0, 0, 3],
+                                    [0, -1, 0, "1/2"], [0, 1, 0, 2],
+                                    [0, 0, -1, 0], [0, 0, 1, 1]]}]},
+    "form": {"pieces": [
+        {"guard": {"eq": [], "lt": [[1, 0, 0, 1]], "le": []},
+         "a": [1, -2, 3], "b": 1},
+        {"guard": {"eq": [], "lt": [], "le": [[-1, 0, 0, -1]]},
+         "a": [2, 1, -1], "b": 0}]},
+}
+
+
+def test_union_series_report_pinned(capsys, tmp_path, monkeypatch):
+    # the report echoes the file path, so the file has one relative name
+    monkeypatch.chdir(tmp_path)
+    with open("box.json", "w", encoding="utf-8") as fh:
+        json.dump(UNION_SERIES, fh)
+    assert main(["polytope", "series", "box.json", "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert (report["verdict"], report["minus_chi"]) == ("OK", -1)
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "ac2b01a18bb6c6a807417013e9ff812c0b573c4d48273bb17a0751ae8b98a95f")

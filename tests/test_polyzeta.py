@@ -8,13 +8,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from jetzeta.algebra import LaurentPoly, DaggerSeries, ds_limit
 from jetzeta.errors import LimitMismatchError, UnboundedInputError
 from jetzeta.gamma import (
     PolySet, RationalCell, AffineFormPW, chi, zeta_polytope, zeta_terms,
 )
-from jetzeta.gamma.zeta import _eulerian
+from jetzeta.gamma.zeta import _divided, _eulerian
 
 
 def test_zeta_point_at_origin():
@@ -238,3 +239,57 @@ def test_eulerian_numerator_from_its_definition(d):
         series = series[:1] + [b - a for a, b in zip(series, series[1:])]
     assert list(_eulerian(d)) == series[:d + 1]
     assert not any(series[d + 1:])
+
+
+def _udiv_product(udiv) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for a in udiv:
+        out = out * LaurentPoly({0: 1, -a: -1})
+    return out
+
+
+@seed(20261023)
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-8, 8), st.integers(-40, 40), max_size=8),
+       st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=3),
+       st.integers(-14, 14), st.sampled_from([-2, -1, 1, 3]))
+def test_packed_division_matches_divide_exact(quotient, udiv, e, delta):
+    q = LaurentPoly(quotient)
+    den = _udiv_product(udiv)
+    row = q * den
+    assert _divided(row, udiv) == row.divide_exact(den) == q
+    # one coefficient changed: a nonunit product no longer divides
+    if udiv:
+        bad = row + LaurentPoly.L(e, delta)
+        for divide in (lambda: _divided(bad, udiv), lambda: bad.divide_exact(den)):
+            with pytest.raises(ValueError, match="not exactly divisible"):
+                divide()
+
+
+def test_packed_division_past_machine_widths():
+    # quotient coefficients past 2^63 pack at a width no array type has
+    q = LaurentPoly({-2: 2 ** 70 + 1, 0: -(2 ** 64), 5: 3 * 2 ** 63 - 7})
+    for udiv in ([-3, 2], [1, 1, -2], [3]):
+        den = _udiv_product(udiv)
+        row = q * den
+        assert _divided(row, udiv) == row.divide_exact(den) == q
+        with pytest.raises(ValueError, match="not exactly divisible"):
+            _divided(row + LaurentPoly.L(1, 2 ** 66), udiv)
+    # digits that outgrow the row's norm: M * (1 - U^32)^2 over (1 - U)^2 is
+    # M * (1 + U + ... + U^31)^2, whose middle digit is 32 * M = 2^64
+    M = 2 ** 59
+    row = LaurentPoly({0: M, 32: -2 * M, 64: M})
+    q = LaurentPoly({i: M * min(i + 1, 63 - i) for i in range(63)})
+    assert _divided(row, [-1, -1]) == row.divide_exact(_udiv_product([-1, -1])) == q
+
+
+def test_packed_division_of_empty_rows_and_empty_products():
+    assert _divided(LaurentPoly(), [2, -1]) == LaurentPoly()
+    row = LaurentPoly({-3: 4, 2: -1})
+    assert _divided(row, []) == row
+    # a face with no geometric coordinate: a point times an interval on
+    # which the form is constant, so its U-denominator is 1
+    S = PolySet.box([(Fraction(1, 2), Fraction(1, 2), True, True),
+                     (0, 1, False, False)])
+    f = AffineFormPW.linear([2, 0], 1)
+    assert zeta_polytope(S, f).expand(8) == zeta_terms(S, f, 8)
