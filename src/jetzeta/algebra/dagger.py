@@ -20,17 +20,22 @@ generous margin.  (With equal periods b = b' the ratio exponent reduces to
 a + a'.)
 
 Numerators are dicts t-exponent -> LaurentPoly without zero entries, and
-every sum of them goes through one merge, _merged.  Dense work on T-prefixes
-runs through one recurrence for the factor 1 - L^a T^b, _by_factor:
-c_m += L^a * c_(m-b) in ascending m divides, c_m -= L^a * c_(m-b) in
-descending m multiplies.  Expansion and exact division divide; fitting, the
-Hadamard numerator and the products by factors that bring sums to a common
-denominator multiply.
+every sum of them goes through one merge, _merged.  Bringing a sum to a
+common denominator (_num_mul_factors) shifts each row once per factor and
+merges, on these sparse rows: polytope numerators are sparse in L, and
+packing them bought nothing (0.8-1.2 s CPU either way over the 200 boxes of
+acceptance criterion 6, 2-vCPU guest).
 
-The recurrences run on packed rows: a T-prefix is a list of Kronecker-packed
-ints (laurent._pack, L -> 2^width) with a list of per-row L-exponent
-offsets, so each step is one big-integer shift-add.  Each call packs once
-and unpacks once, with one digit width, found by running the same
+Dense work on T-prefixes runs through one recurrence for the factor
+1 - L^a T^b, _by_factor: c_m += L^a * c_(m-b) in ascending m divides,
+c_m -= L^a * c_(m-b) in descending m multiplies.  It runs on packed rows,
+which pay where they are reused or multiplied: expansion and peeling divide
+whole prefixes (a sparse peel took criterion 6 from 2.1-2.9 s to 3.4-4.0 s
+CPU), ds_fit clears every candidate subset of one packed prefix, and
+ds_hadamard multiplies packed rows termwise.  A packed T-prefix is a list of
+Kronecker-packed ints (laurent._pack, L -> 2^width) with a list of per-row
+L-exponent offsets, so each step is one big-integer shift-add.  Each call
+packs once and unpacks once, with one digit width, found by running the same
 recurrences on the rows' l1 norms (n_m += n_(m-b)) and adding 2 bits: that
 bounds every coefficient met in either direction, so every zero test on a
 packed row and every unpacked row is exact.  A row's offset moves down only
@@ -153,23 +158,6 @@ def _by_factor(xs: list[int], offs: list[int], width: int, a: int, b: int,
                 xs[m], offs[m] = op(x << width * (offs[m] - low), src), low
 
 
-def _quotient(xs: list[int], offs: list[int], width: int, a: int, b: int):
-    """A packed T-polynomial divided exactly by (1 - L^a T^b), as new lists,
-    or None.
-
-    The factor is a unit plus higher order, so the quotient is computed
-    bottom-up: s_m = r_m + L^a s_(m-b); division is exact iff the top b
-    rows cancel, and the quotient is what lies below them.
-    """
-    if len(xs) <= b:
-        return None
-    xs, offs = list(xs), list(offs)
-    _by_factor(xs, offs, width, a, b, True)
-    if any(xs[-b:]):
-        return None
-    return xs[:-b], offs[:-b]
-
-
 def _cleared(xs: Sequence[int], offs: Sequence[int], width: int,
              factors: Iterable[Factor], top: int) -> dict[int, LaurentPoly] | None:
     """Numerator of a packed prefix times prod (1 - L^a T^b) when every
@@ -186,17 +174,11 @@ def _cleared(xs: Sequence[int], offs: Sequence[int], width: int,
 def _num_mul_factors(num: dict[int, LaurentPoly],
                      factors: Iterable[Factor]) -> dict[int, LaurentPoly]:
     """Multiply a T-polynomial (dict t-exp -> LaurentPoly) by
-    prod (1 - L^a T^b)."""
-    factors = list(factors)
-    if not factors or not num:
-        return num
-    lo = min(num)
-    rows = _rows(num, lo, max(num) + sum(b for _, b in factors))
-    width = _width(_grown(_norms(rows), factors, False))
-    xs, offs = _packed(rows, width)
+    prod (1 - L^a T^b), on sparse rows."""
     for a, b in factors:
-        _by_factor(xs, offs, width, a, b, False)
-    return _unpacked(xs, offs, width, lo)
+        num = _merged(itertools.chain(
+            num.items(), ((t + b, -c.shifted(a)) for t, c in num.items())))
+    return num
 
 
 class DaggerSeries:
@@ -346,11 +328,15 @@ class DaggerSeries:
         xs, offs = _packed(rows, width)
         den: list[Factor] = []
         for a, b in self._den:
-            quo = _quotient(xs, offs, width, a, b)
-            if quo is None:
+            # bottom-up quotient s_m = r_m + L^a s_(m-b): exact iff the top
+            # b rows cancel (a nonzero prefix of at most b rows never does),
+            # and the quotient is what lies below them
+            qs, qo = list(xs), list(offs)
+            _by_factor(qs, qo, width, a, b, True)
+            if any(qs[-b:]):
                 den.append((a, b))
             else:
-                xs, offs = quo
+                xs, offs = qs[:-b], qo[:-b]
         return DaggerSeries(_unpacked(xs, offs, width, lo), den)
 
     def hadamard(self, other: "DaggerSeries") -> "DaggerSeries":
@@ -392,17 +378,6 @@ class DaggerSeries:
         num = {int(t): LaurentPoly.from_json(c) for t, c in data["num"]}
         den = [(int(a), int(b)) for a, b in data["den"]]
         return cls(num, den)
-
-
-def _divide_num_by_factor(num: dict[int, LaurentPoly], a: int, b: int):
-    """Exact quotient of a T-polynomial by (1 - L^a T^b), or None."""
-    if not num:
-        return {}
-    lo = min(num)
-    rows = _rows(num, lo, max(num))
-    width = _width(_grown(_norms(rows), [(a, b)], True))
-    quo = _quotient(*_packed(rows, width), width, a, b)
-    return None if quo is None else _unpacked(*quo, width, lo)
 
 
 # -- module-level operation names ------------------------------------------

@@ -21,7 +21,7 @@ from .algebra.dagger import ds_fit, ds_limit, fit_candidates
 from .algebra.laurent import LaurentPoly
 from .errors import (FitFailure, JetzetaError, LimitMismatchError,
                      MalformedDataError, ParseError, ResourceLimitError)
-from .gamma.cells import PolySet, alpha_m, chi, chi_bounded
+from .gamma.cells import PolySet, alpha_m, chi_bounded
 from .gamma.zeta import AffineFormPW, zeta_polytope
 from .jets.classify import JetOrders, class_of_jets, zeta_via_jets
 from .jets.count import NODE_BUDGET
@@ -333,7 +333,7 @@ def cmd_polytope(cfg: RunConfig) -> Outcome:
     lim = ds_limit(Z)
     report["series"] = Z.to_json()
     report["limit"] = lim.to_json()
-    report["minus_chi"] = -chi(S)
+    report["minus_chi"] = lim.eval_at_one()
     report["verdict"] = "OK"
     table.append(f"Z = {Z}")
     table.append(f"limit = {lim}, -chi = {report['minus_chi']}, verdict OK")
@@ -349,13 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "numbers, motivic zeta functions, polytope calculus.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, m_default: str) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("-f", "--poly", required=True,
                        help="polynomial in x1..xn, e.g. 'x1^2 + x2^3'")
         p.add_argument("--at", default=None,
                        help="base point, comma-separated rationals (default: origin)")
-        p.add_argument("-m", "--m-range", default=m_default,
-                       help="single m or LO..HI")
         p.add_argument("--primes", type=int, default=None,
                        help="prime budget per interpolation")
         p.add_argument("--node-budget", type=int, default=NODE_BUDGET,
@@ -369,12 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lef = sub.add_parser("lefschetz",
                            help="jet-route chi_c, cross-checked against A'Campo")
-    common(p_lef, "1..6")
+    common(p_lef)
+    p_lef.add_argument("-m", "--m-range", default="1..6", help="single m or LO..HI")
     p_lef.add_argument("--resolution", default=None,
                        help="resolution fixture JSON for the oracle column")
 
     p_zeta = sub.add_parser("zeta", help="fitted motivic zeta and Milnor fiber")
-    common(p_zeta, "1")
+    common(p_zeta)
     p_zeta.add_argument("-M", "--terms", type=int, default=None,
                         help="series terms to compute (default 8, or 2*maxN+2 "
                              "with a fixture)")
@@ -386,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ac.add_argument("--json", action="store_true", dest="output_json")
 
     p_count = sub.add_parser("count", help="raw point-count table at one m")
-    common(p_count, "1")
+    common(p_count)
+    p_count.add_argument("-m", "--m-range", default="1", help="single m or LO..HI")
 
     p_poly = sub.add_parser("polytope", help="chi / alpha / series of a cell set")
     p_poly.add_argument("action", choices=["chi", "alpha", "series"])
@@ -400,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
     kw = {f.name: given[f.name] for f in fields(RunConfig) if f.name in given}
-    kw["m_lo"], kw["m_hi"] = _parse_m_range(args.m_range)
+    if "m_range" in given:
+        kw["m_lo"], kw["m_hi"] = _parse_m_range(args.m_range)
     kw["at"] = _parse_point(kw["at"]) if kw.get("at") else None
     cfg = RunConfig(**kw)
     # --threads is checked, and otherwise ignored: counts run on this thread

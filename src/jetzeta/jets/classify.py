@@ -97,15 +97,8 @@ class ClassPoly:
                 raise ValueError(
                     f"class exponent {e} outside [0, {self.degree_bound}]")
 
-    def evaluate(self, q: int) -> int:
-        v = self.poly.eval_at(q)
-        return int(v)
-
     def at_one(self) -> int:
         return self.poly.eval_at_one()
-
-    def __str__(self) -> str:
-        return str(self.poly)
 
 
 @dataclass(frozen=True)

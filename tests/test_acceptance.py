@@ -7,6 +7,7 @@ fixed seeds so a failure is reproducible bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -202,6 +203,22 @@ def test_criterion_07_hadamard_limits_multiply():
         had = ds_hadamard(h, g)
         assert ds_limit(had) == -(ds_limit(h) * ds_limit(g))
     _report(7, "lim(h (.) g) == -lim(h) lim(g) on 200 random pairs")
+
+
+# SHA-256 of json.dumps([ds_hadamard(h, g).to_json(), ...], sort_keys=True)
+# over criterion 7's 200 pairs: the limit identity cannot see a numerator and
+# denominator that changed together, the digest pins the peeled presentation
+CRITERION_7_DIGEST = (
+    "4ec8e2ff03146a0e198eaa54175f67a96712fad5fe1e3a4c8dfd573769e0b0e3")
+
+
+def test_criterion_07_hadamard_presentation_pinned():
+    rng = random.Random(0xAD_2026)
+    pairs = [(_random_limited_series(rng), _random_limited_series(rng))
+             for _ in range(200)]
+    text = json.dumps([ds_hadamard(h, g).to_json() for h, g in pairs],
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CRITERION_7_DIGEST
 
 
 # -- 8: the open ray has trivial weighted volume ----------------------------

@@ -247,6 +247,14 @@ def test_bad_option_prints_one_error_line(capsys, argv, line):
     assert (out, err) == ("", line + "\n")
 
 
+def test_zeta_rejects_an_m_range(capsys):
+    # zeta reads -M; an -m it would ignore is an unknown option
+    assert main(["zeta", "-f", "x1^2", "-m", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: -m 3" in err
+    assert "Traceback" not in err
+
+
 def test_order_past_the_platform_limit_is_a_resource_failure(capsys):
     m = str(2 ** 70)
     code, rep = run_json(capsys, ["lefschetz", "-f", "x1^2", "-m", m])

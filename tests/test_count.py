@@ -178,7 +178,7 @@ def test_large_prime_beyond_grid_cap():
     jc = class_of_jets(f, [0, 0], 6)
     assert jc.route == "residue"
     assert max(jc.table.primes) <= 1009
-    assert count_points(build_jet_system(f, [0, 0], 6), q) == jc.cls.evaluate(q)
+    assert count_points(build_jet_system(f, [0, 0], 6), q) == jc.cls.poly.eval_at(q)
 
 
 @pytest.mark.parametrize("q, count", [

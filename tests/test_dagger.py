@@ -14,7 +14,7 @@ from jetzeta.algebra import (
     LaurentPoly, DaggerSeries,
     ds_limit, ds_hadamard, ds_fit,
 )
-from jetzeta.algebra.dagger import _divide_num_by_factor, _num_mul_factors
+from jetzeta.algebra.dagger import _num_mul_factors
 from jetzeta.errors import FitFailure, LimitUndefined
 
 L = LaurentPoly.L
@@ -58,6 +58,25 @@ def oracle_expand(num: dict[int, dict], den: list[tuple[int, int]], order: int):
 
 def as_dicts(prefix):
     return [dict(c.items()) for c in prefix]
+
+
+def divide_num_by_factor(num: dict[int, LaurentPoly], a: int, b: int):
+    """Exact quotient of a T-polynomial by (1 - L^a T^b), or None, on dict
+    rows: bottom-up, s_m = r_m + L^a s_(m-b), and the division is exact iff
+    the top b rows of s vanish; the quotient is what lies below them."""
+    if not num:
+        return {}
+    lo, hi = min(num), max(num)
+    s: dict[int, LaurentPoly] = {}
+    for m in range(lo, hi + 1):
+        c = num.get(m, LaurentPoly.zero())
+        if m - b in s:
+            c = c + s[m - b].shifted(a)
+        if not c.is_zero():
+            s[m] = c
+    if any(m > hi - b for m in s):
+        return None
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +268,7 @@ def restart_peeled(h: DaggerSeries) -> DaggerSeries:
     while changed and den and num:
         changed = False
         for i, (a, b) in enumerate(den):
-            quo = _divide_num_by_factor(num, a, b)
+            quo = divide_num_by_factor(num, a, b)
             if quo is not None:
                 num = quo
                 del den[i]
@@ -273,10 +292,10 @@ def test_peeled_matches_restart_loop(h, extra):
 def test_divide_num_by_factor_inverts_multiplication(num, f, t):
     n = {e: LaurentPoly(c) for e, c in num.items()}
     multiple = _num_mul_factors(n, [f])
-    assert _divide_num_by_factor(multiple, *f) == n
+    assert divide_num_by_factor(multiple, *f) == n
     # a nonzero monomial has no root off T = 0, so no factor divides it
     perturbed = DaggerSeries([*multiple.items(), (t, one)]).num
-    assert _divide_num_by_factor(perturbed, *f) is None
+    assert divide_num_by_factor(perturbed, *f) is None
 
 
 @given(series_st)
@@ -351,11 +370,11 @@ def test_mul_div_factors_roundtrip_wide(num, factors, t):
     assert {e: dict(c.items()) for e, c in multiple.items()} == \
         oracle_mul_factors(num, factors)
     for a, b in reversed(factors):
-        multiple = _divide_num_by_factor(multiple, a, b)
+        multiple = divide_num_by_factor(multiple, a, b)
     assert multiple == n
     perturbed = DaggerSeries([*_num_mul_factors(n, factors[:1]).items(),
                               (t, L(-999, 2 ** 70))]).num
-    assert _divide_num_by_factor(perturbed, *factors[0]) is None
+    assert divide_num_by_factor(perturbed, *factors[0]) is None
 
 
 @seed(20261105)
