@@ -7,16 +7,17 @@ or two-variable residue is counted with vectorized field arithmetic.
 Variables no solved equation touches contribute plain powers of q.
 
 The rules are tried in order: univariate roots, a linear variable with a
-constant coefficient, a quadratic variable with a square discriminant,
-the block-linear rule, a linear variable with a polynomial coefficient,
-then the two-variable rules and the grids below.  The block-linear rule
-takes, greedily in sorted order, the variables V of one equation e that
-no other equation has, that e is linear in and that share no monomial
-with another member.  Then e = sum c_v*v + r with no c_v or r involving
-V; where some c_v is nonzero e has q^(|V|-1) solutions in V, and where
-all vanish q^|V| or none, as r vanishes or not.  So the count is
-q^(|V|-1)*(N(rest) - N(rest, all c_v = 0)) + q^|V|*N(rest, all c_v = 0,
-r = 0), three subsystems without V instead of one split per variable.
+constant coefficient, the block-linear rule, a linear variable with a
+polynomial coefficient, a lone two-variable equation quadratic in one of
+them, the binary-form split, the line sweep, the private grid and the
+grid fallback.  The block-linear rule takes, greedily in sorted order,
+the variables V of one equation e that no other equation has, that e is
+linear in and that share no monomial with another member.  Then e =
+sum c_v*v + r with no c_v or r involving V; where some c_v is nonzero e
+has q^(|V|-1) solutions in V, and where all vanish q^|V| or none, as r
+vanishes or not.  So the count is q^(|V|-1)*(N(rest) - N(rest, all c_v =
+0)) + q^|V|*N(rest, all c_v = 0, r = 0), three subsystems without V
+instead of one split per variable.
 
 Two rules count two-variable residues along lines through the origin in
 O(q) field operations:
@@ -628,47 +629,6 @@ def _solve_uncached(work: list[FP], used: set, F, budget: _Budget) -> int:
         r = by.get(0, FP(F, e.n, {}))
         rep = r.scale(F.neg(F.inv(by[1].const_value())))
         return recurse(_pin(work[:i] + work[i + 1:], v, rep), v)
-
-    # quadratic variable with constant leading coefficient and a
-    # discriminant of the shape (constant) * (monomial)^2
-    if q % 2:
-        for i, e in enumerate(work):
-            for v in sorted(e.vars_used()):
-                if e.deg_in(v) != 2:
-                    continue
-                by = e.coeffs_by_power(v)
-                alpha = by[2].const_value()
-                if alpha is None:
-                    continue
-                beta = by.get(1, FP(F, e.n, {}))
-                gamma = by.get(0, FP(F, e.n, {}))
-                disc = beta.mul(beta).add(
-                    gamma.scale(F.neg(F.mul(F.from_int(4), alpha))))
-                inv2a = F.inv(F.add(alpha, alpha))
-                center = beta.scale(F.neg(inv2a))
-                rest = [o for j, o in enumerate(work) if j != i]
-                if disc.is_zero():
-                    return recurse(_pin(rest, v, center), v)
-                st = disc.single_term()
-                if st is None:
-                    continue
-                ed, d = st
-                if any(k % 2 for k in ed):
-                    continue
-                half = tuple(k // 2 for k in ed)
-                M = FP(F, e.n, {half: 1})
-                chi = F.chi2(d)
-                if chi == 1:
-                    s0 = F.sqrt(d)
-                    total = 0
-                    for sgn_root in (s0, F.neg(s0)):
-                        root = center.add(M.scale(F.mul(sgn_root, inv2a)))
-                        total += recurse(_pin(rest, v, root), v)
-                    root = center.add(M.scale(F.mul(s0, inv2a)))
-                    total -= recurse(_pin(rest, v, root) + [M], v)
-                    return total
-                # non-square constant: roots exist only where M vanishes
-                return recurse(_pin(rest, v, center) + [M], v)
 
     # block of private linear variables: e = sum c_v*v + r has q^(|V|-1)
     # solutions in V where some c_v is nonzero, and q^|V| or none where all

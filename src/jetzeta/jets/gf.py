@@ -96,7 +96,6 @@ class PrimeField:
         self.q = p
         self.k = 1
         self._chi: np.ndarray | None = None
-        self._sqrt: dict[int, int] | None = None
 
     def from_int(self, c: int) -> int:
         return c % self.p
@@ -125,14 +124,6 @@ class PrimeField:
         if self.p == 2:
             return 1
         return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
-
-    def sqrt(self, a: int) -> int | None:
-        if self._sqrt is None:
-            table: dict[int, int] = {}
-            for x in range(self.p):
-                table.setdefault((x * x) % self.p, x)
-            self._sqrt = table
-        return self._sqrt.get(a)
 
     # vector interface: int64 arrays of residues
     def add_v(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -515,17 +506,6 @@ class ExtField:
 
     def chi2(self, a: int) -> int:
         return int(self.CHI[a])
-
-    def sqrt(self, a: int) -> int | None:
-        if a == 0:
-            return 0
-        lg = int(self.LOG[a])
-        if self.p == 2:
-            # squaring is a bijection in characteristic 2
-            return int(self.EXP[(lg * (self.q // 2)) % (self.q - 1)])
-        if lg % 2:
-            return None
-        return int(self.EXP[lg // 2])
 
     # vector interface
     def add_v(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -438,8 +438,21 @@ REPORT_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS,
-                         ids=[" ".join(argv[:3]) for argv, _ in REPORT_DIGESTS])
+# A1 past the orders above, recorded while count_points still pinned the
+# roots of a quadratic variable whose discriminant is a constant times a
+# square monomial, the rule these orders took most; ids name the orders,
+# since the germ alone is already the id of an entry above
+A1_HIGH_ORDER_DIGESTS = [
+    (["lefschetz", "-f", "x1^2 + x2^2", "-m", "7..12"],
+     "ffd4b2b9a9662a3ea34118c44e2447410bf6380959116618bfa55bc94e2396f0"),
+    (["zeta", "-f", "x1^2 + x2^2", "-M", "12"],
+     "e427acec8eb8e276e5b4d75d40534787ae74f45ff8944bfbf98d85556c5787b2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS + A1_HIGH_ORDER_DIGESTS,
+                         ids=[" ".join(argv[:3]) for argv, _ in REPORT_DIGESTS]
+                         + [" ".join(argv) for argv, _ in A1_HIGH_ORDER_DIGESTS])
 def test_report_pinned(capsys, argv, digest):
     assert main(argv + ["--json"]) == 0
     out = capsys.readouterr().out

@@ -41,17 +41,12 @@ def test_prime_field_scalar_ops():
         F.inv(0)
 
 
-def test_prime_field_chi2_and_sqrt():
+def test_prime_field_chi2():
     F = PrimeField(7)
     squares = {F.mul(x, x) for x in range(1, 7)}
     for a in range(7):
         want = 0 if a == 0 else (1 if a in squares else -1)
         assert F.chi2(a) == want
-        r = F.sqrt(a)
-        if want >= 0:
-            assert r is not None and F.mul(r, r) == a
-        else:
-            assert r is None
 
 
 def test_prime_field_vector_ops():
@@ -229,21 +224,6 @@ def test_ext_field_chi2_counts():
     vals = [F.chi2(a) for a in range(F.q)]
     assert vals[0] == 0
     assert sum(1 for v in vals if v == 1) == (F.q - 1) // 2
-    for a in range(F.q):
-        r = F.sqrt(a)
-        if F.chi2(a) >= 0:
-            assert r is not None and F.mul(r, r) == a
-        else:
-            assert r is None
-
-
-def test_ext_field_char2_sqrt_bijection():
-    F = ExtField(2, 3)
-    roots = {F.sqrt(a) for a in range(F.q)}
-    assert roots == set(range(F.q))
-    for a in range(F.q):
-        r = F.sqrt(a)
-        assert F.mul(r, r) == a
 
 
 def test_ext_field_vector_ops():
