@@ -54,10 +54,12 @@ maps it g-to-1 onto its subgroup H of index g = gcd(d, q - 1), and
 
 with W' the weight with every w^k read as u^(k/d) (FP.deflate).  H is
 every g-th entry of the EXP table, which _grid_zeros scans in chunks in
-place of F_q: (q - 1)/g points, with lower powers.  The trace route's
-v^2 = w^3 + c leaves take it through the private grid over w.  Prime fields
-keep the plain scan (they have no EXP table), and so does _uni_roots,
-which needs the roots themselves, not a weighted sum.
+place of F_q: (q - 1)/g points, with lower powers, read as int32 views of
+the read-only EXP with no copy (values stay below q <= 3*10^7, and mul_v,
+mulc_v and pow_v widen their LOG sums to int64).  The trace route's v^2 =
+w^3 + c leaves take it through the private grid over w.  Prime fields keep
+the plain scan (they have no EXP table), and so does _uni_roots, which
+needs the roots themselves, not a weighted sum.
 
 The recursion asks each polynomial the same questions many times, so FP
 keeps per-object caches, each filled on first use: the degree in every
@@ -465,7 +467,7 @@ def _grid_zeros(eqs: list[FP], vs: list[int], F,
         if values is None:
             rem = np.arange(start, start + width, dtype=np.int64)
         else:
-            rem = values[start:start + width].astype(np.int64)
+            rem = values[start:start + width]
         coords: dict[int, np.ndarray] = {}
         for v in vs[:-1]:
             coords[v] = rem % q

@@ -5,6 +5,14 @@ of F_p[x]/(modulus) for an extension field.  Extension multiplication runs
 through discrete EXP/LOG tables built once per field, so bulk operations
 vectorize with numpy.
 
+The modulus is the smallest irreducible monic polynomial in packed order;
+Horner's rule at 0..p-1 rejects the candidates with a root, most of them,
+before the full test powers x.  The generator g is the smallest packed
+element of order q - 1.  For a prime l of p - 1, g^((q - 1)/l) is the
+integer pow norm^((p - 1)/l), with the norm g^N, N = (q - 1) / (p - 1), the
+determinant of multiplication by g; only the other primes of q - 1 power g.
+Multiplication matrices are built by shifts, each column x times the last.
+
 EXP lists g^0, g^1, ... for the generator g.  With N = (q - 1) / (p - 1),
 c = g^N is a constant polynomial that generates F_p^*, so EXP[t + iN] =
 c^i * EXP[t]: only EXP[:N] is multiplied out, and the other p - 2 cosets of
@@ -31,7 +39,8 @@ of q elements holds 4q bytes of EXP from construction, 4q more once LOG is
 read and q more once CHI is, and each build holds O(_BASE_BLOCK +
 p^ceil(k/2)) bytes of temporaries.  mul, pow and inv take residue
 arithmetic on the prime subfield, the elements below p, and chi2 and
-chi2_v read CHI, so counts whose scalars lie in F_p never build LOG.
+chi2_v read CHI, so counts whose scalars lie in F_p never build LOG.  The
+three tables are read-only, so a stray write raises.
 
 addc_v adds one field element to a vector without broadcasting it first.
 The prime subfield of an extension field is its elements below p, the
@@ -164,9 +173,12 @@ class PrimeField:
 
     def chi2_v(self, a: np.ndarray) -> np.ndarray:
         if self._chi is None:
-            chi = np.zeros(self.p, dtype=np.int64)
-            for x in range(1, self.p):
-                chi[x] = self.chi2(x)
+            # the nonzero squares: x^2 for x = 1..(p + 1) // 2
+            x = np.arange(1, (self.p + 1) // 2 + 1, dtype=np.int64)
+            chi = np.full(self.p, -1, dtype=np.int64)
+            chi[x * x % self.p] = 1
+            chi[0] = 0
+            chi.flags.writeable = False
             self._chi = chi
         return self._chi[a]
 
@@ -238,6 +250,33 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _has_root(poly: list[int], p: int) -> bool:
+    """Whether poly (coefficients low first) vanishes somewhere on F_p."""
+    for x in range(p):
+        v = 0
+        for c in reversed(poly):
+            v = v * x + c
+        if v % p == 0:
+            return True
+    return False
+
+
+def _det_mod(cols: list[list[int]], p: int) -> int:
+    """Determinant mod p of the columns cols, by elimination with row swaps."""
+    m, det = [list(col) for col in cols], 1
+    for i in range(len(m)):
+        j = next((j for j in range(i, len(m)) if m[j][i]), None)
+        if j is None:
+            return 0
+        m[i], m[j] = m[j], m[i]
+        det = det * (m[i][i] if j == i else -m[i][i]) % p
+        inv = pow(m[i][i], -1, p)
+        for row in m[i + 1:]:
+            f = row[i] * inv % p
+            row[:] = [(a - f * b) % p for a, b in zip(row, m[i])]
+    return det
+
+
 def _is_irreducible(modulus: list[int], p: int, k: int) -> bool:
     x = [0, 1] + [0] * (k - 2)
     xq = _poly_pow(x, p ** k, modulus, p)
@@ -299,7 +338,7 @@ class ExtField:
         # smallest monic modulus in packed-constant order
         for packed in range(p ** k):
             cand = _digits(packed, p, k) + [1]
-            if _is_irreducible(cand, p, k):
+            if not _has_root(cand, p) and _is_irreducible(cand, p, k):
                 return cand
         raise AssertionError("no irreducible modulus found")
 
@@ -311,21 +350,24 @@ class ExtField:
         one = [1] + [0] * (k - 1)
         for packed in range(p, q):
             gen_digits = _digits(packed, p, k)
-            if all(_poly_pow(gen_digits, (q - 1) // ell, self.modulus, p) != one
-                   for ell in fac):
+            norm = _det_mod(self._matrix(gen_digits), p) if p > 2 else 1
+            if all(pow(norm, (p - 1) // ell, p) != 1 if (p - 1) % ell == 0
+                   else _poly_pow(gen_digits, (q - 1) // ell,
+                                  self.modulus, p) != one for ell in fac):
                 break
         else:
             raise AssertionError("no generator found")
         self.generator = packed
 
-        # c = g^N generates F_p^*, so EXP seen as p - 1 rows of N is row 0
-        # times 1, c, c^2, ...: only row 0 is multiplied out on digit planes
+        # g^N = norm generates F_p^*: EXP, as p - 1 rows of N, is row 0 times
+        # 1, norm, norm^2, ..., and g^(N - 1) * g = norm checks row 0
         n = (q - 1) // (p - 1)
-        c = _poly_pow(gen_digits, n, self.modulus, p)
-        assert not any(c[1:]), "g^N is not in the prime subfield"
         exp = np.empty(q - 1, dtype=np.int32)
         self._powers(gen_digits, exp[:n])
-        self._scale_rows(c[0], exp.reshape(p - 1, n))
+        assert _poly_mul_mod(_digits(int(exp[n - 1]), p, k), gen_digits,
+                             self.modulus, p) == [norm] + one[1:], "g^N"
+        self._scale_rows(norm, exp.reshape(p - 1, n))
+        exp.flags.writeable = False
         self.EXP = exp
 
     def _powers(self, gen: list[int], out: np.ndarray) -> None:
@@ -365,10 +407,13 @@ class ExtField:
             g_t0 = _poly_mul_mod(g_t0, g_block, self.modulus, p)
 
     def _matrix(self, elt: list[int]) -> list[list[int]]:
-        """Columns of the matrix of multiplication by elt."""
-        p, k = self.p, self.k
-        return [_poly_mul_mod([int(i == j) for i in range(k)], elt,
-                              self.modulus, p) for j in range(k)]
+        """The columns x^j * elt of multiplication by elt, built by shifts."""
+        cols = [list(elt)]
+        for _ in range(self.k - 1):
+            top = cols[-1][-1]
+            cols.append([(a - top * m) % self.p for a, m in
+                         zip([0] + cols[-1][:-1], self.modulus)])
+        return cols
 
     def _digit(self, cols: list[list[int]], i: int, planes: np.ndarray,
                width: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -443,6 +488,7 @@ class ExtField:
         for t0 in range(0, q - 1, B):
             np.put(log, exp[t0:t0 + B],
                    np.arange(t0, min(t0 + B, q - 1), dtype=np.int32))
+        log.flags.writeable = False
         return log
 
     @_BuiltOnFirstRead
@@ -455,6 +501,7 @@ class ExtField:
         if self.p > 2:
             for t0 in range(0, q - 1, B):
                 np.put(chi, exp[t0:t0 + B:2], 1)
+        chi.flags.writeable = False
         return chi
 
     def from_int(self, c: int) -> int:

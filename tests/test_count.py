@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import random
 from math import gcd
@@ -756,6 +757,19 @@ def test_cusp_leaf_scans_cubes(q, g, want):
         got = count_points(_sys("x1^2 + x2^3", [0, 0], 6), q)
     _assert_subgroup_scans(scans, make_field(q), 3)
     assert got == want
+
+
+@pytest.mark.parametrize("q", [7 ** 4, 5 ** 3])
+def test_power_map_scan_leaves_exp_unchanged(q):
+    # the scan hands int32 views of EXP to the vector operations, with no
+    # copy; the table's bytes are the same after the count
+    F = make_field(q)
+    before = hashlib.sha256(F.EXP.tobytes()).hexdigest()
+    with _recorded_scans() as scans:
+        count_points(_sys("x1^2 + x2^3", [0, 0], 6), q)
+    _assert_subgroup_scans(scans, F, 3)
+    assert make_field(q) is F
+    assert hashlib.sha256(F.EXP.tobytes()).hexdigest() == before
 
 
 @st.composite

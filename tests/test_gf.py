@@ -49,6 +49,14 @@ def test_prime_field_chi2():
         assert F.chi2(a) == want
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1009, 2017])
+def test_prime_field_chi2_v_matches_chi2(p):
+    # the vector table is scattered from squares; chi2 stays the scalar
+    # oracle
+    F = PrimeField(p)
+    assert F.chi2_v(np.arange(p)).tolist() == [F.chi2(x) for x in range(p)]
+
+
 def test_prime_field_vector_ops():
     F = PrimeField(11)
     a = F.all_elements()
@@ -195,6 +203,86 @@ def test_ext_tables_step_by_generator_across_blocks(p, k):
     assert np.array_equal(powers @ step, np.roll(exp, -1))
     assert np.array_equal(F.LOG[F.EXP], np.arange(F.q - 1))
     assert F.LOG[0] == -1
+
+
+def _plain_modulus(p: int, k: int) -> list[int]:
+    """The smallest monic modulus in packed order that passes the full
+    irreducibility test, tried on every candidate."""
+    for packed in range(p ** k):
+        cand = _digits(packed, p, k) + [1]
+        if gf._is_irreducible(cand, p, k):
+            return cand
+    raise AssertionError("no irreducible modulus")
+
+
+def _plain_generator(modulus: list[int], p: int, k: int) -> int:
+    """The smallest packed nonconstant element whose powers g^((q - 1)/l)
+    differ from 1 for every prime l of q - 1, each taken as a polynomial
+    power."""
+    q = p ** k
+    one = [1] + [0] * (k - 1)
+    for packed in range(p, q):
+        g = _digits(packed, p, k)
+        if all(gf._poly_pow(g, (q - 1) // ell, modulus, p) != one
+               for ell in factorize(q - 1)):
+            return packed
+    raise AssertionError("no generator")
+
+
+SEARCH_FIELDS = sorted(set(_ext_fields(20_000))
+                       | {(p, k) for p in (5, 7) for k in range(2, 9)}
+                       | {(3, 11), (257, 2), (1009, 2)})
+
+
+@pytest.mark.parametrize("p,k", SEARCH_FIELDS)
+def test_searches_match_plain_searches(p, k):
+    # the root sieve before the irreducibility test, and the norm in place
+    # of the powers for the primes of p - 1, pick what the plain searches
+    # pick
+    F = ExtField(p, k)
+    assert F.modulus == _plain_modulus(p, k)
+    assert F.generator == _plain_generator(F.modulus, p, k)
+
+
+@seed(20261028)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_norm_is_the_determinant(data):
+    # the determinant of multiplication by a is a^N, N = (q - 1)/(p - 1),
+    # a constant
+    q = data.draw(st.sampled_from([4, 8, 2 ** 10, 9, 27, 3 ** 7, 25, 125,
+                                   49, 343, 11 ** 3, 257 ** 2]))
+    F = make_field(q)
+    p, k = F.p, F.k
+    a = _digits(data.draw(st.integers(0, q - 1)), p, k)
+    norm = gf._det_mod(F._matrix(a), p)
+    assert gf._poly_pow(a, (q - 1) // (p - 1), F.modulus, p) == \
+        [norm] + [0] * (k - 1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 5), (3, 4), (5, 3), (7, 3), (3, 7),
+                                 (13, 2)])
+def test_matrix_columns_are_products(p, k):
+    # built by shifts, column j of the matrix is x^j * elt, one product each
+    F = ExtField(p, k)
+    for packed in range(0, F.q, max(1, F.q // 500)):
+        elt = _digits(packed, p, k)
+        assert F._matrix(elt) == [
+            gf._poly_mul_mod([int(i == j) for i in range(k)], elt,
+                             F.modulus, p) for j in range(k)]
+
+
+def test_tables_are_read_only():
+    # the power-map scan reads views of EXP, so a stray in-place write must
+    # raise instead of changing a cached field
+    F, P = ExtField(5, 3), PrimeField(7)
+    P.chi2_v(np.arange(7))
+    with pytest.raises(ValueError):
+        F.EXP[0] = 2
+    for table in (F.EXP, F.LOG, F.CHI, P._chi):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
 
 
 def test_ext_field_generator_order():
