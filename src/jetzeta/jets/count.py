@@ -8,16 +8,15 @@ Variables no solved equation touches contribute plain powers of q.
 
 The rules are tried in order: univariate roots, a linear variable with a
 constant coefficient, the block-linear rule, a linear variable with a
-polynomial coefficient, a lone two-variable equation quadratic in one of
-them, the binary-form split, the line sweep, the private grid and the
-grid fallback.  The block-linear rule takes, greedily in sorted order,
-the variables V of one equation e that no other equation has, that e is
-linear in and that share no monomial with another member.  Then e =
-sum c_v*v + r with no c_v or r involving V; where some c_v is nonzero e
-has q^(|V|-1) solutions in V, and where all vanish q^|V| or none, as r
-vanishes or not.  So the count is q^(|V|-1)*(N(rest) - N(rest, all c_v =
-0)) + q^|V|*N(rest, all c_v = 0, r = 0), three subsystems without V
-instead of one split per variable.
+polynomial coefficient, the private grid, the binary-form split, the line
+sweep and the grid fallback.  The block-linear rule takes, greedily in
+sorted order, the variables V of one equation e that no other equation
+has, that e is linear in and that share no monomial with another member.
+Then e = sum c_v*v + r with no c_v or r involving V; where some c_v is
+nonzero e has q^(|V|-1) solutions in V, and where all vanish q^|V| or
+none, as r vanishes or not.  So the count is q^(|V|-1)*(N(rest) -
+N(rest, all c_v = 0)) + q^|V|*N(rest, all c_v = 0, r = 0), three
+subsystems without V instead of one split per variable.
 
 Two rules count two-variable residues along lines through the origin in
 O(q) field operations:
@@ -28,21 +27,21 @@ O(q) field operations:
 * a lone equation in two variables with at most two total degrees is swept
   over the q + 1 directions, each giving a closed-form count.
 
-Only systems that neither these nor the earlier reductions fit reach the
-O(q^k) grid fallbacks, which give up once q^k exceeds GRID_CAP.
+The private grid and the grid fallback scan O(q^k) points for a grid
+over k variables, and give up once q^k exceeds GRID_CAP, except that a
+private grid over one variable (a lone equation in two variables,
+quadratic in one) is an O(q) scan like the line sweep and has no cap.
 naive_count enumerates the full grid and is the reference oracle.
 
-The grid rules and _uni_roots scan field points through one chunked
-enumerator: _grid_zeros walks the grid F_q^k in index ranges of _CHUNK
-points and yields the zeros of the given equations in each range.
-_enumerate sums a per-point weight over them: 1 for the grid fallback and
-naive_count, or the number of roots of an equation quadratic in a variable
-no other equation has (the private grid).  A lone equation in two
-variables, quadratic in one, is the private grid's case of one grid
-variable and no other equation, tried just before the binary-form split.
-_uni_roots reads its roots off the same loop.  So these rules hold at most
-_CHUNK points at a time at any field size; the line sweep still evaluates
-its q + 1 directions at once.
+Every scan of field points goes through one chunked enumerator:
+_grid_zeros walks the grid F_q^k in index ranges of _CHUNK points and
+yields the zeros of the given equations in each range.  _enumerate sums a
+per-point weight over them: 1 for the grid fallback and naive_count, or
+the number of roots of an equation quadratic in a variable no other
+equation has (the private grid).  _uni_roots reads its roots off the same
+loop, and the line sweep reads its directions (1, t) off it, one chunk of
+t at a time.  So no count holds more than _CHUNK points at a time at any
+field size.
 
 _enumerate has one power-map rule.  When the grid is one variable w, the
 field keeps discrete-log tables (ExtField), and d, the gcd of w's
@@ -233,12 +232,6 @@ class FP:
             out.setdefault(sum(e), {})[e] = c
         return {d: FP(self.F, self.n, m) for d, m in out.items()}
 
-    def single_term(self):
-        if len(self.c) == 1:
-            (e, v), = self.c.items()
-            return e, v
-        return None
-
     def add(self, other: "FP") -> "FP":
         F = self.F
         c = dict(self.c)
@@ -383,11 +376,10 @@ def _fold_system(sys: JetConstraintSystem, F) -> list[FP]:
 
 def _uni_roots(eq: FP, v: int, budget: _Budget) -> list[int]:
     """All roots of a univariate equation by a chunked scan."""
-    F = eq.F
-    st = eq.single_term()
-    if st is not None:
+    if len(eq.c) == 1:
         # c * v^d = 0 forces v = 0
         return [0]
+    F = eq.F
     budget.spend(F.q * len(eq.c) // 16 + 1)
     return [int(x) for coords, _ in _grid_zeros([eq], [v], F)
             for x in coords[v]]
@@ -433,23 +425,30 @@ def _sweep_count(eq: FP, v: int, w: int, budget: _Budget) -> int:
     the equation reads s^d1 (a + s^e b) = 0 for the direction's values a
     and b of the two homogeneous parts and e = d2 - d1.  A direction then
     holds q - 1 points if a = b = 0, and gcd(e, q - 1) points if a, b != 0
-    and -a/b is an e-th power, else none.
+    and -a/b is an e-th power, else none.  The directions (1, t) are
+    scanned in _grid_zeros chunks over t, then (0, 1) on its own.
     """
     F = eq.F
     q = F.q
     budget.spend(q * (len(eq.c) + 4) // 16 + 1)
     parts = eq.by_total_degree()
     d1, d2 = min(parts), max(parts)
-    coords = {v: np.append(np.ones(q, dtype=np.int64), 0),
-              w: np.append(F.all_elements(), 1)}
-    a = parts[d1].evaluate_vec(coords, q + 1)
-    b = parts[d2].evaluate_vec(coords, q + 1) if d2 > d1 else np.zeros_like(a)
+    low, high = parts[d1], parts[d2] if d2 > d1 else FP(F, eq.n, {})
     g = gcd(d2 - d1, q - 1)
-    both = (a != 0) & (b != 0)
-    minus_a = F.mulc_v(a[both], F.neg(1))
-    solvable = F.pow_v(minus_a, (q - 1) // g) == F.pow_v(b[both], (q - 1) // g)
-    count = ((q - 1) * int(np.count_nonzero((a == 0) & (b == 0)))
-             + g * int(np.count_nonzero(solvable)))
+
+    def on_lines(coords: Mapping[int, np.ndarray], n: int) -> int:
+        a = low.evaluate_vec(coords, n)
+        b = high.evaluate_vec(coords, n)
+        both = (a != 0) & (b != 0)
+        minus_a = F.mulc_v(a[both], F.neg(1))
+        solvable = F.pow_v(minus_a, (q - 1) // g) == F.pow_v(b[both], (q - 1) // g)
+        return ((q - 1) * int(np.count_nonzero((a == 0) & (b == 0)))
+                + g * int(np.count_nonzero(solvable)))
+
+    count = sum(on_lines({v: np.ones(n, dtype=np.int64), w: t[w]}, n)
+                for t, n in _grid_zeros([], [w], F))
+    count += on_lines({v: np.zeros(1, dtype=np.int64),
+                       w: np.ones(1, dtype=np.int64)}, 1)
     # the origin solves the equation unless it has a constant term
     return count + (d1 > 0)
 
@@ -667,14 +666,22 @@ def _solve_uncached(work: list[FP], used: set, F, budget: _Budget) -> int:
             total += _solve(rest + [c, r], live, F, budget)
             return total
 
-    # two-variable single equation, quadratic in one of them: the private
-    # grid over the other
-    if len(used) == 2 and len(work) == 1 and q % 2:
-        v1, v2 = sorted(used)
-        e = work[0]
-        for v, w in ((v1, v2), (v2, v1)):
-            if e.deg_in(v) <= 2:
-                return _quad_private_grid(work, 0, v, [w], F, budget)
+    # variable quadratic in one equation and absent from the rest:
+    # eliminate it by pointwise root counts over a grid of the others; a
+    # one-variable grid is an O(q) chunked scan, so only larger grids are
+    # capped
+    if q % 2:
+        for i, e in enumerate(work):
+            for v in sorted(e.vars_used()):
+                if e.deg_in(v) != 2:
+                    continue
+                if any(v in o.vars_used()
+                       for j, o in enumerate(work) if j != i):
+                    continue
+                rest_vars = sorted(used - {v})
+                if len(rest_vars) == 1 or q ** len(rest_vars) <= GRID_CAP:
+                    return _quad_private_grid(
+                        work, i, v, rest_vars, F, budget)
 
     # binary form: its zeros are the lines w = t*v for the roots t of
     # e(1, t), and v = 0 when the w^d coefficient vanishes; any two lines
@@ -712,21 +719,6 @@ def _solve_uncached(work: list[FP], used: set, F, budget: _Budget) -> int:
     # the q + 1 lines through the origin
     if len(used) == 2 and len(work) == 1 and len(work[0].by_total_degree()) <= 2:
         return _sweep_count(work[0], *sorted(used), budget)
-
-    # variable quadratic in one equation and absent from the rest:
-    # eliminate it by pointwise root counts over a grid of the others
-    if q % 2:
-        for i, e in enumerate(work):
-            for v in sorted(e.vars_used()):
-                if e.deg_in(v) != 2:
-                    continue
-                if any(v in o.vars_used()
-                       for j, o in enumerate(work) if j != i):
-                    continue
-                rest_vars = sorted(used - {v})
-                if q ** len(rest_vars) <= GRID_CAP:
-                    return _quad_private_grid(
-                        work, i, v, rest_vars, F, budget)
 
     if q ** len(used) <= GRID_CAP:
         nterms = sum(len(e.c) for e in work) + 1

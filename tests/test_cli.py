@@ -459,6 +459,20 @@ def test_report_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# reports with class rows, whose counts take the line sweep over fields up
+# to 5^10; recorded while the sweep evaluated all q + 1 directions at once
+@pytest.mark.parametrize("argv, code, digest", [
+    (["lefschetz", "-f", "x1^4 + x2^4", "-m", "4..5"], 2,
+     "6726d668d699df3f56506796160be061a6cbd7e301d15eb28c3590f366010f25"),
+    (["lefschetz", "-f", "x1^3 + x2^3", "-m", "3"], 2,
+     "bd69851cdbb5f0a18c73e36b73912eb2f342826307e51ef028a7b198908fce26"),
+], ids=["x1^4 + x2^4 -m 4..5", "x1^3 + x2^3 -m 3"])
+def test_failing_report_pinned(capsys, argv, code, digest):
+    assert main(argv + ["--json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # SHA-256 of reports that run the Dagger layer (zeta fits and polytope
 # series), recorded while its rows were {exponent: coefficient} dicts;
 # packing them into ints must not change a byte

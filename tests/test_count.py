@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import itertools
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -267,8 +268,8 @@ def test_small_chunks_visit_every_grid_point_once(q, monkeypatch):
 
 def _private_quadratic(with_b: bool, with_grid: bool) -> JetConstraintSystem:
     # 2 v^2 [+ w1^2 v] + C = 0 with v = x0 in no other equation: alone in
-    # two variables it is a chi2-pair leaf, beside a cubic in (w1, w2) the
-    # private grid counts it; exponents 0, 2, 3 keep the earlier rules off
+    # two variables the private grid counts it over w1, beside a cubic in
+    # (w1, w2) over both; exponents 0, 2, 3 keep the earlier rules off
     if with_grid:
         c = {(0, 2, 2): 1, (0, 0, 3): 1, (0, 0, 0): 1}
         other = [MultiPoly(3, {(0, 3, 0): 1, (0, 0, 3): 1, (0, 2, 2): 1,
@@ -302,6 +303,20 @@ def test_small_chunks_match_naive_on_private_quadratic(q, with_b, with_grid,
     sys = _private_quadratic(with_b, with_grid)
     assert count_points(sys, q) == naive_count(sys, q)
     assert any(weights)
+
+
+@pytest.mark.parametrize("q, want", [(125, 125), (127, 107), (343, 323)])
+def test_one_variable_private_grid_ignores_grid_cap(q, want, monkeypatch):
+    # a grid over one variable is a chunked scan of q points, like the line
+    # sweep, so GRID_CAP leaves it alone; grids over two variables stay
+    # capped
+    monkeypatch.setattr(count, "GRID_CAP", 100)
+    sys = _system(2, [MultiPoly(2, {(2, 0): 2, (0, 3): -1, (0, 0): -1})])
+    assert count_points(sys, q) == naive_count(sys, q) == want
+    with pytest.raises(ResourceLimitError, match=(
+            "no applicable reduction for 2 equations in 3 variables over a "
+            "field of size 11")):
+        count_points(_private_quadratic(False, True), 11)
 
 
 # -- property tests of the line rules against full enumeration ----------------
@@ -367,6 +382,39 @@ def test_two_degree_sweep_matches_naive(data):
     (folded,) = _fold_system(sys, make_field(q))
     if not folded.is_zero():
         assert _sweep_count(folded, 0, 1, _Budget(1 << 40)) == want
+
+
+LONE_TWO_DEGREE = [
+    {(3, 0): 1, (0, 3): 1, (0, 0): -1},
+    {(4, 0): 1, (0, 4): 2, (0, 0): 3},
+    {(3, 0): 1, (1, 2): 1, (0, 0): 1},
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 25, 27])
+def test_sweep_small_chunks_match_naive(q, chunk, monkeypatch):
+    # chunk edges fall inside the directions (1, t), and (0, 1) comes last
+    monkeypatch.setattr(count, "_CHUNK", chunk)
+    for terms in LONE_TWO_DEGREE:
+        sys = _system(2, [MultiPoly(2, terms)])
+        (eq,) = _fold_system(sys, make_field(q))
+        assert _sweep_count(eq, 0, 1, _Budget(1 << 40)) == \
+            naive_count(sys, q), (terms, q)
+
+
+def test_sweep_holds_one_chunk(monkeypatch):
+    # q + 1 directions at once would hold several arrays of 8*q bytes
+    monkeypatch.setattr(count, "_CHUNK", 1024)
+    F = gf.PrimeField(100003)
+    (eq,) = _fold_system(_system(2, [MultiPoly(2, LONE_TWO_DEGREE[0])]), F)
+    tracemalloc.start()
+    try:
+        _sweep_count(eq, 0, 1, _Budget(1 << 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 << 10
 
 
 SHARED_EXPS = [0, 3, 4]
@@ -750,8 +798,8 @@ def _assert_subgroup_scans(scans: list, F, d: int) -> None:
     (125, 1, 59604644775390625),
 ])
 def test_cusp_leaf_scans_cubes(q, g, want):
-    # the cusp at m=6 ends in one chi2-pair leaf v^2 = w^3 + c; the counts
-    # are those of the plain scan over F_q
+    # the cusp at m=6 ends in one private grid over w, v^2 = w^3 + c; the
+    # counts are those of the plain scan over F_q
     assert gcd(3, q - 1) == g
     with _recorded_scans() as scans:
         got = count_points(_sys("x1^2 + x2^3", [0, 0], 6), q)
