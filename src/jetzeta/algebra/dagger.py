@@ -431,9 +431,7 @@ def ds_hadamard(h: DaggerSeries, g: DaggerSeries) -> DaggerSeries:
     num = _cleared(xs, offs, width, factors, start + den_deg - 1)
     if num is None:
         raise FitFailure(
-            "hadamard verification terms disagree (implementation bug)",
-            prefix=[_unpacked_row(x, off, width) for x, off in zip(xs, offs)],
-            candidates=factors)
+            "hadamard verification terms disagree (implementation bug)")
     return DaggerSeries(num, factors).peeled()
 
 
@@ -485,5 +483,4 @@ def ds_fit(prefix: Sequence[LaurentPoly],
             return DaggerSeries(num, combo)
     raise FitFailure(
         "no candidate denominator subset reproduces the prefix "
-        "(widen the candidate grid or compute more terms)",
-        prefix=list(prefix), candidates=[f for f, _ in counts])
+        "(widen the candidate grid or compute more terms)")

@@ -297,7 +297,8 @@ def _load_polytope(path: str) -> tuple[PolySet, AffineFormPW]:
         S = PolySet.from_json(data["set"])
         form = (AffineFormPW.from_json(data["form"], S.n)
                 if "form" in data else AffineFormPW.constant(S.n, 0))
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise MalformedDataError(f"bad polytope data: {exc}") from exc
     return S, form
 

@@ -13,16 +13,7 @@ class JetzetaError(Exception):
 
 
 class FitFailure(JetzetaError):
-    """No candidate denominator subset reproduces the series prefix.
-
-    Carries the prefix and candidate grid so the caller (or a human) can
-    widen the grid or compute more terms.
-    """
-
-    def __init__(self, message: str, prefix=None, candidates=None):
-        super().__init__(message)
-        self.prefix = prefix
-        self.candidates = candidates
+    """No candidate denominator subset reproduces the series prefix."""
 
 
 class LimitUndefined(JetzetaError):

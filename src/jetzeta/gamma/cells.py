@@ -50,16 +50,23 @@ Row = tuple[tuple[int, ...], Fraction]
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
+def _int(x) -> int:
+    """What operator.index takes but a bool, or a _frac of denominator 1."""
+    if hasattr(x, "__index__") and not isinstance(x, bool):
+        return operator.index(x)
+    if (r := _frac(x)).denominator != 1:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return r.numerator
+
+
 def _coerce_row(row, n: int) -> Row:
     coeffs, rhs = row
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple(_int(c) for c in coeffs)
     if len(coeffs) != n:
         raise ValueError("row length does not match ambient dimension")
     return coeffs, _frac(rhs)
@@ -141,14 +148,8 @@ class RationalCell:
 
     @classmethod
     def from_json(cls, data: dict, n: int) -> "RationalCell":
-        def rows(key):
-            out = []
-            for entry in data.get(key, ()):
-                if len(entry) != n + 1:
-                    raise ValueError("cell row length does not match dim")
-                out.append((tuple(int(c) for c in entry[:-1]), _frac(entry[-1])))
-            return tuple(out)
-        return cls(n, rows("eq"), rows("lt"), rows("le"))
+        return cls.make(n, *([(row[:-1], row[-1]) for row in data.get(key, ())]
+                             for key in ("eq", "lt", "le")))
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class PolySet:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolySet":
-        n = int(data["dim"])
+        n = _int(data["dim"])
         return cls(n, tuple(RationalCell.from_json(c, n) for c in data.get("cells", ())))
 
 
@@ -500,18 +501,18 @@ def lattice_points(S: PolySet, m: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def _lattice_sum(S: PolySet, m: int, value) -> LaurentPoly:
+    """Sum over S's (1/m)-lattice points p of X^(-m * value(p))."""
+    mvs = [m * value(p) for p in lattice_points(S, m)]
+    if any(mv.denominator != 1 for mv in mvs):
+        raise AssertionError("m * value must be integral on (1/m)Z points")
+    return LaurentPoly((-int(mv), 1) for mv in mvs)
+
+
 def alpha_m(S: PolySet, m: int) -> LaurentPoly:
     """(T - 1)^n * sum over S's (1/m)-lattice points of T^(-m * weight)."""
-    pts = lattice_points(S, m)
-    acc: dict[int, int] = {}
-    for p in pts:
-        mw = m * weight(p)
-        if mw.denominator != 1:
-            raise AssertionError("m * weight must be integral on (1/m)Z points")
-        e = -int(mw)
-        acc[e] = acc.get(e, 0) + 1
     tm1 = LaurentPoly({1: 1, 0: -1})
-    return tm1 ** S.n * LaurentPoly(acc)
+    return tm1 ** S.n * _lattice_sum(S, m, weight)
 
 
 def tilde_alpha(S: PolySet, m: int) -> DaggerSeries:

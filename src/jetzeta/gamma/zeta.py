@@ -43,8 +43,8 @@ from ..errors import (
     LimitMismatchError, LimitUndefined, ResourceLimitError, UnboundedInputError,
 )
 from .cells import (
-    Face, PolySet, RationalCell, _faces_of, _frac, _row_reduce, face_pieces,
-    lattice_points,
+    Face, PolySet, RationalCell, _faces_of, _frac, _int, _lattice_sum,
+    _row_reduce, face_pieces,
 )
 
 _ENUM_ORDER_CAP = 400
@@ -61,10 +61,10 @@ class AffineFormPW:
     def make(cls, n: int, pieces: Iterable[tuple]) -> "AffineFormPW":
         done = []
         for guard, a, b in pieces:
-            a = tuple(int(x) for x in a)
+            a = tuple(_int(x) for x in a)
             if guard.n != n or len(a) != n:
                 raise ValueError("form piece dimension mismatch")
-            done.append((guard, a, int(b)))
+            done.append((guard, a, _int(b)))
         return cls(n, tuple(done))
 
     @classmethod
@@ -89,10 +89,8 @@ class AffineFormPW:
 
     @classmethod
     def from_json(cls, data: dict, n: int) -> "AffineFormPW":
-        pieces = [(RationalCell.from_json(p["guard"], n),
-                   tuple(int(x) for x in p["a"]), int(p.get("b", 0)))
-                  for p in data["pieces"]]
-        return cls.make(n, pieces)
+        return cls.make(n, [(RationalCell.from_json(p["guard"], n), p["a"],
+                             p.get("b", 0)) for p in data["pieces"]])
 
 
 @cache
@@ -160,7 +158,9 @@ def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
     for sigma in range(R):
         # each term: (U-monomial coefficient, exponent slope g, poly in t)
         terms: list[tuple[LaurentPoly, int, list[int]]] = [(LaurentPoly.one(), 0, [1])]
-        for (lo, hi, is_point), a in zip(pieces, a_coeffs):
+        # the constant b_const is a point coordinate at 1
+        for (lo, hi, is_point), a in zip((*pieces, (1, 1, True)),
+                                         (*a_coeffs, b_const)):
             if is_point:
                 if sigma % lo.denominator:
                     terms = []
@@ -186,9 +186,6 @@ def _family_face_series(pieces: Sequence[tuple], a_coeffs: Sequence[int],
                      for c, g, poly in terms
                      for piece_c, dg in ((c.shifted(-a * b0), -a * a0),
                                          (-c.shifted(-a * (b1 + 1)), -a * a1))]
-        if b_const:
-            terms = [(c.shifted(-b_const * sigma), g - b_const * R, poly)
-                     for c, g, poly in terms]
         for c, g, poly in terms:
             for d, pc in enumerate(poly):
                 if not pc:
@@ -310,14 +307,5 @@ def zeta_polytope(S: PolySet, form: AffineFormPW, M: int = 16) -> DaggerSeries:
 
 def zeta_terms(S: PolySet, form: AffineFormPW, up_to: int) -> list[LaurentPoly]:
     """s_0..s_up_to by direct lattice enumeration (independent cross-check)."""
-    out = [LaurentPoly.zero()]
-    for m in range(1, up_to + 1):
-        acc: dict[int, int] = {}
-        for p in lattice_points(S, m):
-            ml = m * form.value_at(p)
-            if ml.denominator != 1:
-                raise AssertionError("m * l(gamma) must be integral")
-            e = -int(ml)
-            acc[e] = acc.get(e, 0) + 1
-        out.append(LaurentPoly(acc))
-    return out
+    return [LaurentPoly.zero()] + [_lattice_sum(S, m, form.value_at)
+                                   for m in range(1, up_to + 1)]

@@ -33,14 +33,14 @@ A scalar acts on a packed element digit by digit, with no carries, so each
 scaled coset is two gathers per element from a table of p^ceil(k/2)
 entries (ExtField._scale_rows).
 
-LOG (LOG[EXP[t]] = t, LOG[0] = -1, int32) and CHI (the quadratic character,
-int8) are built on first read, scattered from EXP block by block.  A field
-of q elements holds 4q bytes of EXP from construction, 4q more once LOG is
+Both field kinds build CHI (the quadratic character, int8) on first read,
+under _FIELD_LOCK, and chi2 and chi2_v read it.  An extension field
+scatters CHI and LOG (LOG[EXP[t]] = t, LOG[0] = -1, int32) from EXP block
+by block.  It holds 4q bytes of EXP from construction, 4q more once LOG is
 read and q more once CHI is, and each build holds O(_BASE_BLOCK +
 p^ceil(k/2)) bytes of temporaries.  mul, pow and inv take residue
-arithmetic on the prime subfield, the elements below p, and chi2 and
-chi2_v read CHI, so counts whose scalars lie in F_p never build LOG.  The
-three tables are read-only, so a stray write raises.
+arithmetic on the prime subfield, the elements below p, so counts whose
+scalars lie in F_p never build LOG.  The tables are read-only.
 
 addc_v adds one field element to a vector without broadcasting it first.
 The prime subfield of an extension field is its elements below p, the
@@ -95,6 +95,35 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+# callers may run count_points from several threads: the lock guards
+# make_field's cache, whose eviction iterates it, and the tables that a
+# field builds on first read
+_FIELD_LOCK = threading.Lock()
+
+
+class _BuiltOnFirstRead:
+    """A table that the decorated method builds when it is first read.
+
+    The build runs under _FIELD_LOCK, so threads that read a fresh table at
+    once share one array.  The table is stored on the instance, where later
+    reads find it before this descriptor."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, field, owner=None):
+        if field is None:
+            return self
+        with _FIELD_LOCK:
+            table = field.__dict__.get(self.name)
+            if table is None:
+                table = field.__dict__[self.name] = self.build(field)
+        return table
+
+
 class PrimeField:
     """F_p with residue representatives 0..p-1."""
 
@@ -104,7 +133,6 @@ class PrimeField:
         self.p = p
         self.q = p
         self.k = 1
-        self._chi: np.ndarray | None = None
 
     def from_int(self, c: int) -> int:
         return c % self.p
@@ -126,13 +154,19 @@ class PrimeField:
             raise ZeroDivisionError("field inverse of zero")
         return pow(a, self.p - 2, self.p)
 
+    @_BuiltOnFirstRead
+    def CHI(self) -> np.ndarray:
+        """The quadratic character as int8, +1 on x^2, x = 1..(p + 1) // 2."""
+        x = np.arange(1, (self.p + 1) // 2 + 1, dtype=np.int64)
+        chi = np.full(self.p, -1, dtype=np.int8)
+        chi[x * x % self.p] = 1
+        chi[0] = 0
+        chi.flags.writeable = False
+        return chi
+
     def chi2(self, a: int) -> int:
         """Quadratic character: 0 at 0, +1 on squares, -1 otherwise."""
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return 1
-        return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
+        return int(self.CHI[a])
 
     # vector interface: int64 arrays of residues
     def add_v(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,15 +206,7 @@ class PrimeField:
         return out
 
     def chi2_v(self, a: np.ndarray) -> np.ndarray:
-        if self._chi is None:
-            # the nonzero squares: x^2 for x = 1..(p + 1) // 2
-            x = np.arange(1, (self.p + 1) // 2 + 1, dtype=np.int64)
-            chi = np.full(self.p, -1, dtype=np.int64)
-            chi[x * x % self.p] = 1
-            chi[0] = 0
-            chi.flags.writeable = False
-            self._chi = chi
-        return self._chi[a]
+        return self.CHI[a].astype(np.int64)
 
     def all_elements(self) -> np.ndarray:
         return np.arange(self.q, dtype=np.int64)
@@ -290,29 +316,6 @@ def _is_irreducible(modulus: list[int], p: int, k: int) -> bool:
         if len(_poly_gcd(modulus, xd, p)) > 1:
             return False
     return True
-
-
-class _BuiltOnFirstRead:
-    """A table that the decorated method builds when it is first read.
-
-    The build runs under _FIELD_LOCK, so threads that read a fresh table at
-    once share one array.  The table is stored on the instance, where later
-    reads find it before this descriptor."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, field, owner=None):
-        if field is None:
-            return self
-        with _FIELD_LOCK:
-            table = field.__dict__.get(self.name)
-            if table is None:
-                table = field.__dict__[self.name] = self.build(field)
-        return table
 
 
 class ExtField:
@@ -623,10 +626,6 @@ class ExtField:
 
 
 _FIELD_CACHE: dict[int, object] = {}
-# callers may run count_points from several threads: the lock guards the
-# cache, whose eviction below iterates it, and the tables that a field
-# builds on first read
-_FIELD_LOCK = threading.Lock()
 
 
 def make_field(q: int):

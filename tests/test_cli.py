@@ -373,6 +373,59 @@ def test_polytope_chi_alpha_series(capsys, tmp_path):
     assert rep["limit"] == [[0, 1]]
 
 
+UNIT_CELL = {"le": [[1, 1], [-1, 0]]}
+
+
+def _unit_form(**piece):
+    return {"set": {"dim": 1, "cells": [UNIT_CELL]},
+            "form": {"pieces": [{"guard": {}, "a": [1], **piece}]}}
+
+
+# malformed shapes and inexact numbers: each is one error line, exit 2
+BAD_POLYTOPE_FILES = [
+    {"set": {"dim": 1, "cells": "abc"}},
+    {"set": {"dim": 1, "cells": ["abc"]}},
+    {"set": {"dim": 1, "cells": [123]}},
+    {"set": {"dim": 1, "cells": {"a": 1}}},
+    _unit_form(guard="x"),
+    {"set": {"dim": 1, "cells": [{"le": [[]]}]}},
+    _unit_form(a=[1.5]),
+    _unit_form(a=[True]),
+    _unit_form(b=0.9),
+    {"set": {"dim": 1, "cells": [{"le": [[1.9, 1]]}]}},
+    {"set": {"dim": 1.7, "cells": [UNIT_CELL]}},
+    {"set": {"dim": 1, "cells": [{"le": [[1, True]]}]}},
+]
+
+
+@pytest.mark.parametrize("data", BAD_POLYTOPE_FILES)
+def test_bad_polytope_file_prints_one_error_line(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["polytope", "series", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad polytope data: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_polytope_integer_strings_read_exactly(capsys, tmp_path):
+    # "2" is the integer 2 and "3/2" the rational 3/2, as before
+    outputs = []
+    for a in (["2"], [2]):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(_unit_form(a=a, b="-1")), encoding="utf-8")
+        assert main(["polytope", "series", str(path), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps(
+        {"set": {"dim": 1, "cells": [{"le": [[1, "3/2"], [-1, 0]]}]}}),
+        encoding="utf-8")
+    code, rep = run_json(capsys, ["polytope", "alpha", str(half), "-m", "2"])
+    assert code == 0 and rep["alpha"] == [[-3, -1], [1, 1]]
+
+
 def test_json_round_trip(capsys):
     code, rep = run_json(capsys, ["zeta", "-f", "x1^2", "-M", "6"])
     assert code == 0

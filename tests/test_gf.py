@@ -51,10 +51,15 @@ def test_prime_field_chi2():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1009, 2017])
 def test_prime_field_chi2_v_matches_chi2(p):
-    # the vector table is scattered from squares; chi2 stays the scalar
-    # oracle
+    # CHI is marked from squares; Euler's criterion is the oracle
     F = PrimeField(p)
-    assert F.chi2_v(np.arange(p)).tolist() == [F.chi2(x) for x in range(p)]
+    euler = [0] + [1 if pow(a, (p - 1) // 2, p) == 1 else -1
+                   for a in range(1, p)]
+    assert F.CHI.dtype == np.int8
+    assert F.CHI.tolist() == euler
+    assert F.chi2_v(np.arange(p)).tolist() == euler
+    for a in range(p):
+        assert F.chi2(a) == int(F.chi2_v(np.array([a]))[0])
 
 
 def test_prime_field_vector_ops():
@@ -279,7 +284,7 @@ def test_tables_are_read_only():
     P.chi2_v(np.arange(7))
     with pytest.raises(ValueError):
         F.EXP[0] = 2
-    for table in (F.EXP, F.LOG, F.CHI, P._chi):
+    for table in (F.EXP, F.LOG, F.CHI, P.CHI):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[1] = 0
@@ -486,20 +491,21 @@ def test_make_field_frees_the_old_large_field_first():
 
 def test_first_read_builds_one_table_across_threads():
     # LOG and CHI are built under _FIELD_LOCK: threads that read them from a
-    # fresh field at once share one array
-    F = ExtField(7, 7)
+    # fresh field at once share one array, for either field kind
+    F, P = ExtField(7, 7), PrimeField(100003)
     barrier = threading.Barrier(4)
-    got: dict[str, list] = {"LOG": [], "CHI": []}
+    reads = {"LOG": (F, "LOG"), "CHI": (F, "CHI"), "prime CHI": (P, "CHI")}
+    got: dict[str, list] = {key: [] for key in reads}
 
-    def read(name: str) -> None:
+    def read(key: str) -> None:
         barrier.wait()
-        got[name].append(getattr(F, name))
+        got[key].append(getattr(*reads[key]))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for name in got:
-            threads = [threading.Thread(target=read, args=(name,))
+        for key in got:
+            threads = [threading.Thread(target=read, args=(key,))
                        for _ in range(4)]
             for t in threads:
                 t.start()
@@ -507,9 +513,9 @@ def test_first_read_builds_one_table_across_threads():
                 t.join(timeout=60)
     finally:
         sys.setswitchinterval(old)
-    for name, tables in got.items():
+    for key, tables in got.items():
         assert len(tables) == 4
-        assert all(table is getattr(F, name) for table in tables), name
+        assert all(table is getattr(*reads[key]) for table in tables), key
 
 
 def test_field_size_budget():

@@ -13,7 +13,8 @@ from hypothesis import given, seed, settings, strategies as st
 from jetzeta.algebra import LaurentPoly, DaggerSeries, ds_limit
 from jetzeta.errors import LimitMismatchError, UnboundedInputError
 from jetzeta.gamma import (
-    PolySet, RationalCell, AffineFormPW, chi, zeta_polytope, zeta_terms,
+    PolySet, RationalCell, AffineFormPW, alpha_m, chi, zeta_polytope,
+    zeta_terms,
 )
 from jetzeta.gamma.zeta import _divided, _eulerian
 
@@ -168,6 +169,24 @@ def test_zeta_expansion_matches_enumeration_randomized():
         f = AffineFormPW.linear(a, b)
         z = zeta_polytope(S, f)
         assert z.expand(k) == zeta_terms(S, f, k), (iv, a, b)
+
+
+def test_alpha_is_zeta_term_of_the_weight():
+    # alpha_m and zeta_terms share one lattice sum: alpha_m(S, m) is
+    # (T - 1)^n times s_m of the weight form
+    rng = random.Random(28)
+    sixths = [Fraction(k, 6) for k in range(-12, 13)]
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        iv = []
+        for _ in range(n):
+            lo, hi = sorted(rng.sample(sixths, 2))
+            iv.append((lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        S = PolySet.box(iv)
+        terms = zeta_terms(S, AffineFormPW.linear([1] * n), 4)
+        for m in range(1, 5):
+            assert alpha_m(S, m) == (LaurentPoly({1: 1, 0: -1}) ** n
+                                     * terms[m]), (iv, m)
 
 
 # first 16 hex digits of the SHA-256 of json.dumps(Z.to_json(),
